@@ -573,7 +573,9 @@ void AdsPipeline::record_scene(double t) {
   }
 
   const kinematics::SafetyEnvelope true_env = world_.true_safety_envelope();
-  const SafetyPotential true_sp = world_.true_safety_potential();
+  const SafetyPotential true_sp = kinematics::safety_potential(
+      true_env,
+      kinematics::stopping_distance(world_.ego(), world_.ego_params()));
   rec.true_delta_lon = true_sp.longitudinal;
   rec.true_delta_lat = true_sp.lateral;
   rec.true_dsafe_lon = true_env.d_safe_lon;
@@ -581,9 +583,6 @@ void AdsPipeline::record_scene(double t) {
   rec.true_v = world_.ego().v;
   rec.true_y_off = world_.ego().y - world_.ego_lane_center_y();
   rec.true_theta = world_.ego().theta;
-  const SafetyPotential believed_sp = believed_safety_potential();
-  rec.believed_delta_lon = believed_sp.longitudinal;
-  rec.believed_delta_lat = believed_sp.lateral;
 
   rec.collided = world_.status().collided;
   rec.off_road = world_.status().off_road;

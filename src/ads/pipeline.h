@@ -59,8 +59,12 @@ struct PipelineConfig {
   std::uint64_t fault_seed = 0;
 };
 
-// One scene (camera frame) worth of state: the BN variables plus true and
-// believed safety potentials. Recorded at scene_hz.
+// One scene (camera frame) worth of state: the BN variables plus the
+// ground-truth safety potential. Recorded at scene_hz. Each record costs
+// one run of procedure P (kinematics::stopping_distance), which dominates
+// a scene's simulation cost; the ADS's believed potential is therefore
+// not recorded but computed on demand by
+// AdsPipeline::believed_safety_potential().
 struct SceneRecord {
   double t = 0.0;
   // BN variables (believed values, i.e. what the ADS itself sees).
@@ -82,9 +86,6 @@ struct SceneRecord {
   double true_v = 0.0;          // ground-truth ego speed
   double true_y_off = 0.0;      // ground-truth offset from lane center
   double true_theta = 0.0;
-  // Safety (the ADS's own belief).
-  double believed_delta_lon = 0.0;
-  double believed_delta_lat = 0.0;
   bool collided = false;
   bool off_road = false;
   bool any_module_hung = false;
@@ -227,7 +228,9 @@ class AdsPipeline {
   // Scene log (one record per scene frame).
   const std::vector<SceneRecord>& scenes() const { return scenes_; }
 
-  // Believed safety potential, from the ADS's own world model.
+  // Believed safety potential, from the ADS's own world model at the
+  // current tick. Runs procedure P, so it is computed on demand only (the
+  // scene log records the true potential alone).
   kinematics::SafetyPotential believed_safety_potential() const;
 
   const runtime::Channel<ControlMsg>& control_channel() const { return control_; }

@@ -57,6 +57,29 @@ std::uint64_t jitter_seed_from_name(const std::string& name) {
   return hash == 0 ? 1 : hash;
 }
 
+/// True when the coordinator's `complete` arrives within `seconds` (0:
+/// among the messages the transport already holds); other messages are
+/// stale acks and are skipped. A finished coordinator sends `complete` and
+/// hangs up at once, so a worker must look for it before blaming the
+/// transport: a send that fails because a thief finished this worker's
+/// stolen tail, or a `wait` that would outlast the campaign, both end in
+/// `complete`, and then there is nobody left to reconnect to.
+bool receives_complete(net::Connection& conn, double seconds) {
+  const double deadline = steady_seconds() + seconds;
+  try {
+    std::string line;
+    for (;;) {
+      const double left = std::max(0.0, deadline - steady_seconds());
+      if (conn.recv_line(&line, left) != net::RecvStatus::kMessage)
+        return false;
+      if (message_type(line) == "complete") return true;
+    }
+  } catch (const net::SocketError&) {
+  } catch (const net::FrameError&) {
+  }
+  return false;
+}
+
 /// Streams each record to the coordinator as it becomes locally durable
 /// (run_indices appends to the local store BEFORE delivering to sinks),
 /// heartbeats on a cadence, and watches the socket for revocation. On
@@ -97,6 +120,7 @@ class StreamingSink : public core::ResultSink {
         }
         drain_incoming();
       } catch (const net::SocketError& error) {
+        if (receives_complete(conn_, 0.0)) throw CampaignComplete{};
         go_offline(error.what());
       } catch (const net::FrameError& error) {
         go_offline(error.what());
@@ -305,6 +329,7 @@ WorkerStats WorkerClient::run() {
         if (type != "heartbeat_ack" && type != "lease_ack") break;
       }
     } catch (const net::SocketError&) {
+      if (receives_complete(*conn, 0.0)) break;
       if (!establish()) return give_up();
       continue;
     } catch (const net::FrameError&) {
@@ -319,8 +344,9 @@ WorkerStats WorkerClient::run() {
     if (type == "error")  // FATAL: an explicit verdict, not transport loss
       throw std::runtime_error("coordinator: " + parse_error(line).message);
     if (type == "wait") {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(parse_wait(line).seconds));
+      // Wait on the socket, not the clock: if the campaign finishes
+      // meanwhile, leave at `complete` instead of at the end of the wait.
+      if (receives_complete(*conn, parse_wait(line).seconds)) break;
       continue;
     }
     if (type != "lease")
@@ -387,6 +413,7 @@ WorkerStats WorkerClient::run() {
         // heartbeat_ack: skim
       }
     } catch (const net::SocketError&) {
+      if (receives_complete(*conn, 0.0)) break;
       if (!establish()) return give_up();
       continue;
     } catch (const net::FrameError&) {

@@ -1,9 +1,11 @@
 #include "core/bayes_model.h"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "bn/serialize.h"
 #include "kinematics/stopping.h"
+#include "util/number_format.h"
 
 namespace drivefi::core {
 
@@ -424,6 +426,13 @@ SafetyPredictor load_predictor(const std::string& path) {
   config.wheelbase = get("wheelbase", config.wheelbase);
   config.lane_half_width = get("lane_half_width", config.lane_half_width);
   config.ego_half_width = get("ego_half_width", config.ego_half_width);
+  // Every prediction runs procedure P on these; same bounds as a .scn
+  // file's ego_params (docs/FORMATS.md).
+  if (config.amax < kinematics::kMinStopDecel || !(config.wheelbase > 0.0))
+    throw std::runtime_error(
+        "load_predictor: " + path + ": amax must be at least " +
+        util::shortest_double(kinematics::kMinStopDecel) +
+        " m/s^2 and wheelbase positive");
   return SafetyPredictor(std::move(net), config);
 }
 

@@ -44,7 +44,8 @@ Experiment::Experiment(std::vector<sim::Scenario> scenarios,
       options_(normalize(options)),
       goldens_(run_golden_suite(
           scenarios_, pipeline_config_,
-          options_.fork_replays ? options_.checkpoint_stride : 0)) {}
+          options_.fork_replays ? options_.checkpoint_stride : 0,
+          options_.executor)) {}
 
 double Experiment::mean_run_wall_seconds() const {
   if (goldens_.empty()) return 0.0;

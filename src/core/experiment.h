@@ -88,8 +88,9 @@ using SpliceCandidates =
 
 class Experiment {
  public:
-  /// Runs the golden suite eagerly: after construction the engine is
-  /// immutable and safe to share across worker threads.
+  /// Runs the golden suite eagerly, on `options.executor`'s threads: after
+  /// construction the engine is immutable and safe to share across worker
+  /// threads.
   Experiment(std::vector<sim::Scenario> scenarios,
              ads::PipelineConfig pipeline_config,
              ClassifierConfig classifier_config = {},
@@ -117,7 +118,9 @@ class Experiment {
 
   /// Wall-clock cost of one FULL simulation run, measured from the golden
   /// runs on the steady clock (used by the E1 exhaustive-cost model). The
-  /// median is robust to first-run warmup effects.
+  /// median is robust to first-run warmup effects. Golden runs execute
+  /// concurrently on the executor's threads, so with more threads than
+  /// free cores each measurement includes time spent sharing a core.
   double mean_run_wall_seconds() const;
   double median_run_wall_seconds() const;
 

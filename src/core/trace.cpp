@@ -119,11 +119,16 @@ GoldenTrace run_golden(const sim::Scenario& scenario,
 
 std::vector<GoldenTrace> run_golden_suite(
     const std::vector<sim::Scenario>& scenarios,
-    const ads::PipelineConfig& config, std::size_t checkpoint_stride) {
+    const ads::PipelineConfig& config, std::size_t checkpoint_stride,
+    const ExecutorConfig& executor) {
   std::vector<GoldenTrace> traces;
   traces.reserve(scenarios.size());
-  for (std::size_t i = 0; i < scenarios.size(); ++i)
-    traces.push_back(run_golden(scenarios[i], config, i, checkpoint_stride));
+  ParallelExecutor(executor).run_ordered<GoldenTrace>(
+      scenarios.size(),
+      [&](std::size_t i) {
+        return run_golden(scenarios[i], config, i, checkpoint_stride);
+      },
+      [&](GoldenTrace&& trace) { traces.push_back(std::move(trace)); });
   return traces;
 }
 

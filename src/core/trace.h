@@ -11,6 +11,7 @@
 
 #include "ads/pipeline.h"
 #include "bn/fit.h"
+#include "core/executor.h"
 #include "sim/scenario.h"
 
 namespace drivefi::core {
@@ -20,7 +21,10 @@ struct GoldenTrace {
   std::size_t scenario_index = 0;
   std::string scenario_name;
   std::vector<ads::SceneRecord> scenes;
-  double wall_seconds = 0.0;  // measured cost of the run (steady clock)
+  /// Measured cost of the run (steady clock). run_golden_suite runs
+  /// scenarios concurrently, so this may include time the run's thread
+  /// spent sharing the machine with other golden runs.
+  double wall_seconds = 0.0;
 
   /// Pipeline checkpoints captured every `checkpoint_stride` scenes
   /// (checkpoint k covers scene k * stride); empty when stride == 0.
@@ -67,10 +71,14 @@ GoldenTrace run_golden(const sim::Scenario& scenario,
                        std::size_t scenario_index = 0,
                        std::size_t checkpoint_stride = 0);
 
-/// Runs all scenarios fault-free.
+/// Runs all scenarios fault-free, one scenario per task on a
+/// ParallelExecutor with `executor`'s thread count. Traces come back in
+/// scenario order and are identical at every thread count; only
+/// wall_seconds, which then times a run that overlapped others, varies.
 std::vector<GoldenTrace> run_golden_suite(
     const std::vector<sim::Scenario>& scenarios,
-    const ads::PipelineConfig& config, std::size_t checkpoint_stride = 0);
+    const ads::PipelineConfig& config, std::size_t checkpoint_stride = 0,
+    const ExecutorConfig& executor = {});
 
 /// Number of scene records a run of `duration` seconds produces (the scene
 /// module fires on tick 0 and every base_hz/scene_hz ticks after).

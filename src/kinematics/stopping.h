@@ -41,6 +41,12 @@ StoppingDistance stopping_distance(double amax, double v0, double theta0,
                                    double dt = 5e-3,
                                    double steering_release_rate = 0.8);
 
+// Smallest emergency-stop deceleration (m/s^2) accepted from input files
+// (`.scn` ego_params amax_comfort, a fitted predictor's amax). P takes
+// v0 / (amax * dt) steps, so with speeds clamped to 150 m/s the floor caps
+// one call at 150 / 1 / 5e-3 = 30,000 steps; below it a campaign stalls.
+inline constexpr double kMinStopDecel = 1.0;
+
 // Convenience overload from a vehicle state.
 StoppingDistance stopping_distance(const VehicleState& state,
                                    const VehicleParams& params,

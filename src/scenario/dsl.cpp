@@ -2,10 +2,12 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <system_error>
 
+#include "kinematics/stopping.h"
 #include "util/number_format.h"
 
 namespace drivefi::scenario {
@@ -276,29 +278,32 @@ std::vector<sim::Scenario> parse_suite(const std::string& text) {
       kinematics::VehicleParams& p = current.world.ego_params;
       for (std::size_t i = 1; i < tokens.size(); ++i) {
         const auto [key, value] = split_kv(tokens[i], line_no);
-        if (key == "wheelbase")
-          p.wheelbase = parse_double(value, line_no, key);
-        else if (key == "max_accel")
-          p.max_accel = parse_double(value, line_no, key);
-        else if (key == "max_brake_decel")
-          p.max_brake_decel = parse_double(value, line_no, key);
-        else if (key == "amax_comfort")
-          p.amax_comfort = parse_double(value, line_no, key);
-        else if (key == "max_steering")
-          p.max_steering = parse_double(value, line_no, key);
-        else if (key == "max_speed")
-          p.max_speed = parse_double(value, line_no, key);
-        else if (key == "steering_rate")
-          p.steering_rate = parse_double(value, line_no, key);
-        else if (key == "max_lateral_accel")
-          p.max_lateral_accel = parse_double(value, line_no, key);
-        else if (key == "length")
-          p.length = parse_double(value, line_no, key);
-        else if (key == "width")
-          p.width = parse_double(value, line_no, key);
-        else
+        double* field = key == "wheelbase"           ? &p.wheelbase
+                        : key == "max_accel"         ? &p.max_accel
+                        : key == "max_brake_decel"   ? &p.max_brake_decel
+                        : key == "amax_comfort"      ? &p.amax_comfort
+                        : key == "max_steering"      ? &p.max_steering
+                        : key == "max_speed"         ? &p.max_speed
+                        : key == "steering_rate"     ? &p.steering_rate
+                        : key == "max_lateral_accel" ? &p.max_lateral_accel
+                        : key == "length"            ? &p.length
+                        : key == "width"             ? &p.width
+                                                     : nullptr;
+        if (field == nullptr)
           throw ScnError(line_no, "unknown ego_params key '" + key + "'");
+        *field = parse_double(value, line_no, key);
+        if (!std::isfinite(*field))
+          throw ScnError(line_no, "ego_params " + key + " must be finite");
       }
+      // Procedure P runs on these at every scene (see
+      // kinematics::kMinStopDecel): a zero deceleration reads every scene
+      // as safe, and a tiny one stalls the campaign.
+      if (!(p.wheelbase > 0.0))
+        throw ScnError(line_no, "ego_params wheelbase must be positive");
+      if (p.amax_comfort < kinematics::kMinStopDecel)
+        throw ScnError(line_no, "ego_params amax_comfort must be at least " +
+                                    fmt(kinematics::kMinStopDecel) +
+                                    " m/s^2, got " + fmt(p.amax_comfort));
     } else if (keyword == "vehicle") {
       if (tokens.size() < 2)
         throw ScnError(line_no, "usage: vehicle <name> key=value...");

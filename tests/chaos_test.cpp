@@ -11,13 +11,16 @@
 
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "coord/coordinator.h"
+#include "coord/protocol.h"
 #include "coord/worker.h"
 #include "core/experiment.h"
 #include "core/fault_model.h"
@@ -25,6 +28,7 @@
 #include "core/manifest.h"
 #include "core/result_store.h"
 #include "net/chaos.h"
+#include "net/socket.h"
 #include "obs/metrics.h"
 
 namespace drivefi::core {
@@ -337,6 +341,107 @@ TEST(Chaos, MultiFailureStormStillMergesBitIdenticalAndCountsFaults) {
                 .snapshot()
                 .count,
             0u);
+}
+
+/// Plays a coordinator for one worker, on its own thread: accepts it,
+/// closes the listener (nobody to reconnect to afterwards), answers its
+/// hello, reads its first lease_request, then runs `script`. Returning
+/// from `script` hangs up.
+std::thread scripted_coordinator(
+    std::unique_ptr<net::TcpListener> listener, std::size_t planned_runs,
+    std::function<void(net::MessageConnection&)> script) {
+  return std::thread([listener = std::move(listener), planned_runs,
+                      script = std::move(script)]() mutable {
+    std::optional<net::TcpSocket> socket = listener->accept(10.0);
+    listener.reset();
+    if (!socket) {
+      ADD_FAILURE() << "worker never connected";
+      return;
+    }
+    net::MessageConnection conn(std::move(*socket));
+    std::string line;
+    ASSERT_EQ(conn.recv_line(&line, 10.0), net::RecvStatus::kMessage);
+    coord::WelcomeMsg welcome;
+    welcome.planned_runs = planned_runs;
+    conn.send_line(coord::encode(welcome));
+    ASSERT_EQ(conn.recv_line(&line, 10.0), net::RecvStatus::kMessage);
+    ASSERT_EQ(coord::message_type(line), "lease_request");
+    script(conn);
+  });
+}
+
+TEST(Chaos, WorkerStopsOnCompleteWhenTheFinishedCoordinatorHangsUp) {
+  // The end of a campaign with work stealing: a thief finishes the tail it
+  // stole, so the coordinator sends `complete` and hangs up while the
+  // victim is still streaming. Records it never read turn the hang-up into
+  // a reset, and the victim's next send fails. The victim must find the
+  // buffered `complete` and stop, not go offline and spend its reconnect
+  // budget on a coordinator that is gone. Flat replay streams one record
+  // per run, in index order, so the hang-up lands mid-lease.
+  ExperimentOptions options;
+  options.executor.threads = 1;
+  options.replay_tree = false;
+  const Experiment experiment({sim::base_suite()[1]}, test_pipeline_config(),
+                              {}, options);
+  const RandomValueModel model(100, 77);
+  auto listener = std::make_unique<net::TcpListener>("127.0.0.1", 0);
+  const std::uint16_t port = listener->port();
+  std::thread coordinator = scripted_coordinator(
+      std::move(listener), model.run_count(),
+      [&](net::MessageConnection& conn) {
+        coord::LeaseMsg lease;
+        lease.lease_id = 1;
+        for (std::size_t i = 0; i < model.run_count(); ++i)
+          lease.run_indices.push_back(i);
+        conn.send_line(coord::encode(lease));
+        std::string line;
+        ASSERT_EQ(conn.recv_line(&line, 10.0), net::RecvStatus::kMessage);
+        // Let records queue up unread, then finish the campaign.
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        conn.send_line(coord::encode(coord::CompleteMsg{}));
+      });
+
+  coord::WorkerConfig config = chaos_worker_config("victim", port, nullptr);
+  config.reconnect_max_attempts = 3;
+  coord::WorkerClient worker(experiment, model, "test", config);
+  const coord::WorkerStats stats = worker.run();
+  coordinator.join();
+
+  EXPECT_FALSE(stats.gave_up);
+  EXPECT_EQ(stats.reconnects, 0u);
+  EXPECT_LT(stats.runs_executed, model.run_count())
+      << "the worker ran its whole lease instead of stopping at complete";
+}
+
+TEST(Chaos, WaitingWorkerLeavesAtCompleteNotAtTheEndOfTheWait) {
+  // Near the end of a campaign every remaining run is leased out, so an
+  // idle worker is told to `wait`. When the campaign completes during that
+  // wait, the worker must leave at `complete`, not sleep the wait out.
+  const Experiment experiment = make_experiment(1);
+  const RandomValueModel model(4, 78);
+  auto listener = std::make_unique<net::TcpListener>("127.0.0.1", 0);
+  const std::uint16_t port = listener->port();
+  std::thread coordinator = scripted_coordinator(
+      std::move(listener), model.run_count(),
+      [](net::MessageConnection& conn) {
+        coord::WaitMsg wait;
+        wait.seconds = 30.0;
+        conn.send_line(coord::encode(wait));
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        conn.send_line(coord::encode(coord::CompleteMsg{}));
+      });
+
+  coord::WorkerClient worker(experiment, model, "test",
+                             chaos_worker_config("idler", port, nullptr));
+  const auto started = Clock::now();
+  const coord::WorkerStats stats = worker.run();
+  const double waited =
+      std::chrono::duration<double>(Clock::now() - started).count();
+  coordinator.join();
+
+  EXPECT_FALSE(stats.gave_up);
+  EXPECT_EQ(stats.runs_executed, 0u);
+  EXPECT_LT(waited, 10.0) << "the worker slept out the wait";
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "bn/serialize.h"
 #include "core/bayes_model.h"
 #include "core/experiment.h"
 #include "core/fault_catalog.h"
@@ -18,6 +20,7 @@
 #include "core/scene_library.h"
 #include "core/selector.h"
 #include "core/trace.h"
+#include "kinematics/stopping.h"
 
 namespace drivefi::core {
 namespace {
@@ -404,6 +407,26 @@ TEST_F(BayesModelTest, FittedPredictorRoundTripsThroughSerialization) {
     EXPECT_DOUBLE_EQ(a->delta_lon, b->delta_lon);
     EXPECT_DOUBLE_EQ(a->predicted_v, b->predicted_v);
   }
+  std::remove(path.c_str());
+}
+
+TEST_F(BayesModelTest, LoadPredictorRejectsStopParamsProcedurePCannotRun) {
+  // Every prediction runs procedure P with the file's amax and wheelbase:
+  // P takes v0 / (amax * 5 ms) steps, so a tiny amax stalls selection and
+  // a zero one makes every prediction read as safe.
+  const std::string path = "predictor_bad_stop_params_test.bn";
+  for (const auto& [key, value] : std::vector<std::pair<std::string, double>>{
+           {"amax", 0.001}, {"amax", 0.0}, {"wheelbase", 0.0}}) {
+    bn::NetworkMeta meta = {{"amax", 6.0}, {"wheelbase", 2.8}};
+    meta[key] = value;
+    bn::save_network_file(predictor_->network(), path, meta);
+    EXPECT_THROW(load_predictor(path), std::runtime_error)
+        << key << "=" << value;
+  }
+  bn::save_network_file(predictor_->network(), path,
+                        {{"amax", kinematics::kMinStopDecel}});
+  EXPECT_DOUBLE_EQ(load_predictor(path).config().amax,
+                   kinematics::kMinStopDecel);
   std::remove(path.c_str());
 }
 

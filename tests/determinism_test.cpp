@@ -6,6 +6,7 @@
 // nothing about scheduling may leak into the results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -26,6 +27,7 @@
 #include "core/result_sink.h"
 #include "core/result_store.h"
 #include "core/selector.h"
+#include "core/trace.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "util/rng.h"
@@ -592,17 +594,50 @@ TEST(Determinism, FleetRefusesAMismatchedWorker) {
   EXPECT_EQ(master.completed().size(), model.run_count());
 }
 
+TEST(Determinism, GoldenSuiteIdenticalAcrossThreadCounts) {
+  // Golden precompute runs one scenario per executor task: the traces must
+  // come back in scenario order, equal at every thread count.
+  std::vector<sim::Scenario> suite = sim::base_suite();
+  for (sim::Scenario& s : suite) s.duration = std::min(s.duration, 8.0);
+  const std::vector<GoldenTrace> serial =
+      run_golden_suite(suite, test_pipeline_config(), 4, {.threads = 1});
+  ASSERT_EQ(serial.size(), suite.size());
+  for (unsigned threads : {2u, 8u}) {
+    const std::vector<GoldenTrace> pooled = run_golden_suite(
+        suite, test_pipeline_config(), 4, {.threads = threads});
+    ASSERT_EQ(pooled.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      SCOPED_TRACE(suite[i].name + " at " + std::to_string(threads) +
+                   " threads");
+      EXPECT_EQ(pooled[i].scenario_index, i);
+      EXPECT_EQ(pooled[i].scenario_name, suite[i].name);
+      EXPECT_TRUE(pooled[i].scenes == serial[i].scenes);
+      EXPECT_TRUE(pooled[i].checkpoints == serial[i].checkpoints);
+      EXPECT_EQ(pooled[i].scene_end_times, serial[i].scene_end_times);
+      EXPECT_EQ(pooled[i].scene_instructions, serial[i].scene_instructions);
+    }
+  }
+}
+
 TEST(Determinism, ObservabilityIsInert) {
-  // The telemetry contract: tracing and metrics are pure observation. A
-  // campaign run with a live trace session, a metrics snapshot sink, and a
-  // freshly reset registry must be byte-identical -- fingerprint, scrubbed
-  // JSONL, and manifest compatibility hash -- to the same campaign with
-  // observability off.
+  // The telemetry contract: tracing and metrics are pure observation. An
+  // engine built and run with a live trace session, a metrics snapshot
+  // sink, and a freshly reset registry must be byte-identical --
+  // fingerprint, scrubbed JSONL, and manifest compatibility hash -- to
+  // the same engine and campaign with observability off. Building inside
+  // the session puts golden spans from several executor threads into it.
   namespace fs = std::filesystem;
-  const Experiment experiment = make_experiment(4);
+  std::vector<sim::Scenario> suite = sim::base_suite();
+  suite.erase(suite.begin() + 3, suite.end());
+  const auto build = [&] {
+    ExperimentOptions options;
+    options.executor.threads = 4;
+    return Experiment(suite, test_pipeline_config(), {}, options);
+  };
   const RandomValueModel model(10, 2024);
 
-  const auto capture = [&](std::vector<ResultSink*> extra_sinks) {
+  const auto capture = [&](const Experiment& experiment,
+                           std::vector<ResultSink*> extra_sinks) {
     std::ostringstream out;
     JsonlSink sink(out);
     std::vector<ResultSink*> sinks = {&sink};
@@ -612,9 +647,10 @@ TEST(Determinism, ObservabilityIsInert) {
         fingerprint(stats), scrub_wall_seconds(out.str()));
   };
 
-  const auto plain = capture({});
+  const Experiment plain_engine = build();
+  const auto plain = capture(plain_engine, {});
   const std::uint64_t plain_hash =
-      coord::manifest_compat_hash(make_manifest(experiment, model, "test"));
+      coord::manifest_compat_hash(make_manifest(plain_engine, model, "test"));
 
   const std::string trace_path =
       (fs::path(::testing::TempDir()) / "drivefi_inert_trace.json").string();
@@ -622,7 +658,8 @@ TEST(Determinism, ObservabilityIsInert) {
   MetricsSnapshotSink metrics_sink(metrics_out, /*interval_seconds=*/0.0);
   obs::metrics().reset();
   obs::start_tracing(trace_path);
-  const auto instrumented = capture({&metrics_sink});
+  const Experiment traced_engine = build();
+  const auto instrumented = capture(traced_engine, {&metrics_sink});
   const std::uint64_t events = obs::trace_events_written();
   obs::stop_tracing();
 
@@ -631,10 +668,11 @@ TEST(Determinism, ObservabilityIsInert) {
   EXPECT_EQ(plain.second, instrumented.second)
       << "canonical JSONL changed under observability";
   EXPECT_EQ(plain_hash, coord::manifest_compat_hash(
-                            make_manifest(experiment, model, "test")));
+                            make_manifest(traced_engine, model, "test")));
 
-  // ... and the observability actually observed: the replay spans hit the
-  // trace file and every record produced a metrics snapshot.
+  // ... and the observability actually observed: one golden span per
+  // scenario and the replay spans hit the trace file, and every record
+  // produced a metrics snapshot.
   EXPECT_GT(events, 0u);
   EXPECT_EQ(metrics_sink.snapshots_written(), model.run_count() + 1);
   std::ifstream trace(trace_path, std::ios::binary);
@@ -642,6 +680,12 @@ TEST(Determinism, ObservabilityIsInert) {
                          std::istreambuf_iterator<char>());
   EXPECT_NE(trace_text.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(trace_text.find("\"replay\""), std::string::npos);
+  std::size_t golden_spans = 0;
+  for (std::size_t at = trace_text.find("{\"name\":\"golden\"");
+       at != std::string::npos;
+       at = trace_text.find("{\"name\":\"golden\"", at + 1))
+    ++golden_spans;
+  EXPECT_EQ(golden_spans, suite.size());
 }
 
 TEST(Determinism, ThreadCountDoesNotLeakIntoSpecs) {

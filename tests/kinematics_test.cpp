@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "kinematics/bicycle.h"
 #include "kinematics/safety.h"
 #include "kinematics/stopping.h"
+#include "util/rng.h"
 
 namespace drivefi::kinematics {
 namespace {
@@ -168,6 +171,131 @@ TEST(Stopping, SteeringReleaseBoundsLateralExcursion) {
       stopping_distance(6.0, 30.0, 0.0, 0.02, 2.8, 1e-3, 0.0);
   EXPECT_LT(std::abs(released.lateral), 0.5);
   EXPECT_GT(std::abs(frozen.lateral), 5.0);
+}
+
+// Reference copy of procedure P in its per-stage formulation: every RK4
+// stage evaluates the friction cap phi_limit at its own speed. The library
+// shares phi_limit between stages at equal speeds; the sweep below holds
+// the two bit-identical. Every determinism check compares paths within one
+// build, so only a fixed reference like this one catches a change to P
+// that moves all paths alike.
+namespace reference_p {
+
+struct State {
+  double x, y, theta, v, phi;
+};
+
+double phi_limit(double v, double wheelbase, double lat_accel_budget) {
+  if (v <= 1.0) return 1.0;
+  return std::atan(lat_accel_budget * wheelbase / (v * v));
+}
+
+State deriv(const State& s, double amax, double wheelbase,
+            double release_rate, double lane_hold_gain) {
+  double dphi = 0.0;
+  if (release_rate > 0.0) {
+    const double target = std::clamp(-lane_hold_gain * s.theta, -0.55, 0.55);
+    const double err = target - s.phi;
+    if (err > 1e-12)
+      dphi = release_rate;
+    else if (err < -1e-12)
+      dphi = -release_rate;
+  }
+  const double lat_budget = 0.7 * amax;
+  const double phi_eff =
+      std::clamp(s.phi, -phi_limit(s.v, wheelbase, lat_budget),
+                 phi_limit(s.v, wheelbase, lat_budget));
+  return State{s.v * std::cos(s.theta), s.v * std::sin(s.theta),
+               s.v * std::tan(phi_eff) / wheelbase, -amax, dphi};
+}
+
+State axpy(const State& s, const State& d, double h) {
+  return State{s.x + h * d.x, s.y + h * d.y, s.theta + h * d.theta,
+               s.v + h * d.v, s.phi + h * d.phi};
+}
+
+StoppingDistance stopping_distance(double amax, double v0, double theta0,
+                                   double phi0, double wheelbase, double dt,
+                                   double release_rate) {
+  StoppingDistance out;
+  if (!std::isfinite(v0) || !std::isfinite(theta0) || !std::isfinite(phi0) ||
+      !std::isfinite(amax))
+    return out;
+  v0 = std::min(v0, 150.0);
+  phi0 = std::clamp(phi0, -1.0, 1.0);
+  if (v0 <= 0.0 || amax <= 0.0) return out;
+  constexpr double kLaneHoldGain = 1.2;
+  State s{0.0, 0.0, theta0, v0, phi0};
+  double t = 0.0;
+  const double t_stop = v0 / amax;
+  while (t < t_stop) {
+    const double h = std::min(dt, t_stop - t);
+    const State k1 = deriv(s, amax, wheelbase, release_rate, kLaneHoldGain);
+    const State k2 = deriv(axpy(s, k1, 0.5 * h), amax, wheelbase,
+                           release_rate, kLaneHoldGain);
+    const State k3 = deriv(axpy(s, k2, 0.5 * h), amax, wheelbase,
+                           release_rate, kLaneHoldGain);
+    const State k4 =
+        deriv(axpy(s, k3, h), amax, wheelbase, release_rate, kLaneHoldGain);
+    s.x += h / 6.0 * (k1.x + 2.0 * k2.x + 2.0 * k3.x + k4.x);
+    s.y += h / 6.0 * (k1.y + 2.0 * k2.y + 2.0 * k3.y + k4.y);
+    s.theta += h / 6.0 * (k1.theta + 2.0 * k2.theta + 2.0 * k3.theta + k4.theta);
+    s.phi += h / 6.0 * (k1.phi + 2.0 * k2.phi + 2.0 * k3.phi + k4.phi);
+    s.v = std::max(0.0, s.v - amax * h);
+    t += h;
+  }
+  out.longitudinal = s.x;
+  out.lateral = s.y;
+  out.stop_time = t_stop;
+  return out;
+}
+
+}  // namespace reference_p
+
+TEST(Stopping, BitIdenticalToPerStageReferenceOnSeededSweep) {
+  util::Rng rng(20191);
+  constexpr int kInputs = 100'000;
+  int slow_start = 0, partial_last_step = 0, frozen_steering = 0,
+      clamped_steering = 0;
+  for (int i = 0; i < kInputs; ++i) {
+    // Mostly short stops (coarse dt, brisk amax) so 1e5 inputs run in
+    // about two seconds; one input in sixteen keeps the default dt.
+    const double v0 =
+        rng.bernoulli(0.1) ? rng.uniform(-0.5, 1.0) : rng.uniform(1.0, 25.0);
+    const double amax = rng.uniform(2.0, 12.0);
+    const double dt = rng.bernoulli(0.0625) ? 5e-3 : rng.uniform(0.01, 0.25);
+    const double wheelbase = rng.uniform(1.5, 4.5);
+    const double theta0 = rng.uniform(-0.5, 0.5);
+    const double phi0 = rng.uniform(-1.2, 1.2);
+    const double release = rng.bernoulli(0.25) ? 0.0 : rng.uniform(0.1, 2.0);
+
+    const StoppingDistance got =
+        stopping_distance(amax, v0, theta0, phi0, wheelbase, dt, release);
+    const StoppingDistance want = reference_p::stopping_distance(
+        amax, v0, theta0, phi0, wheelbase, dt, release);
+    ASSERT_EQ(std::memcmp(&got.longitudinal, &want.longitudinal,
+                          sizeof(double)),
+              0)
+        << "longitudinal, input " << i;
+    ASSERT_EQ(std::memcmp(&got.lateral, &want.lateral, sizeof(double)), 0)
+        << "lateral, input " << i;
+    ASSERT_EQ(std::memcmp(&got.stop_time, &want.stop_time, sizeof(double)),
+              0)
+        << "stop_time, input " << i;
+
+    slow_start += v0 <= 1.0;
+    const double steps = v0 / amax / dt;
+    partial_last_step += v0 > 0.0 && steps != std::floor(steps);
+    frozen_steering += release == 0.0;
+    clamped_steering +=
+        v0 > 1.0 && std::abs(phi0) > reference_p::phi_limit(
+                                         v0, wheelbase, 0.7 * amax);
+  }
+  // Each code path the sharing of phi_limit could break was exercised.
+  EXPECT_GT(slow_start, kInputs / 20);
+  EXPECT_GT(partial_last_step, kInputs / 2);
+  EXPECT_GT(frozen_steering, kInputs / 8);
+  EXPECT_GT(clamped_steering, kInputs / 4);
 }
 
 // Parameterized sweep: dstop is monotonically increasing in v0 and

@@ -238,12 +238,13 @@ TEST(Pipeline, BelievedSafetyTracksTruth) {
   sim::World world(scenario.world);
   AdsPipeline pipeline(world, fast_config());
   pipeline.run_for(20.0);
-  const auto& scenes = pipeline.scenes();
-  const auto& last = scenes.back();
   // Believed and true longitudinal delta agree to within sensor noise
   // scale once tracking has settled.
-  EXPECT_NEAR(last.believed_delta_lon, last.true_delta_lon, 25.0);
-  EXPECT_GT(last.believed_delta_lon, 0.0);
+  const kinematics::SafetyPotential believed =
+      pipeline.believed_safety_potential();
+  EXPECT_NEAR(believed.longitudinal, world.true_safety_potential().longitudinal,
+              25.0);
+  EXPECT_GT(believed.longitudinal, 0.0);
 }
 
 TEST(Pipeline, EkfAblationStillDrives) {

@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "core/trace.h"
+#include "ads/pipeline.h"
 #include "scenario/coverage.h"
 #include "scenario/dsl.h"
 #include "scenario/generators.h"
@@ -18,18 +18,31 @@
 namespace drivefi::scenario {
 namespace {
 
-// Full-precision fingerprint of a golden trace; two runs whose fingerprints
-// match produced bit-identical simulations.
-std::string trace_fingerprint(const core::GoldenTrace& trace) {
+// Full-precision fingerprint of a fault-free run: every scene record plus
+// the ADS's believed safety potential at the tick that closed the scene.
+// Two runs whose fingerprints match produced bit-identical simulations.
+std::string run_fingerprint(const sim::Scenario& scenario,
+                            const ads::PipelineConfig& config) {
+  sim::World world(scenario.world);
+  ads::AdsPipeline pipeline(world, config);
   std::ostringstream out;
   out << std::hexfloat;
-  for (const auto& r : trace.scenes)
+  const auto ticks =
+      static_cast<long>(std::llround(scenario.duration * config.base_hz));
+  for (long i = 0; i < ticks; ++i) {
+    const std::size_t scenes_before = pipeline.scenes().size();
+    pipeline.step();
+    if (pipeline.scenes().size() == scenes_before) continue;
+    const ads::SceneRecord& r = pipeline.scenes().back();
+    const kinematics::SafetyPotential believed =
+        pipeline.believed_safety_potential();
     out << r.t << '|' << r.lead_gap << '|' << r.lead_rel_speed << '|' << r.v
         << '|' << r.y_off << '|' << r.theta << '|' << r.u_accel << '|'
         << r.u_steer << '|' << r.throttle << '|' << r.brake << '|' << r.steer
         << '|' << r.true_delta_lon << '|' << r.true_delta_lat << '|'
-        << r.true_v << '|' << r.believed_delta_lon << '|' << r.collided << '|'
-        << r.off_road << '\n';
+        << r.true_v << '|' << believed.longitudinal << '|' << r.collided
+        << '|' << r.off_road << '\n';
+  }
   return out.str();
 }
 
@@ -52,14 +65,10 @@ TEST(Dsl, RoundTripsTheWholeSuiteInOneDocument) {
 TEST(Dsl, RoundTripReproducesIdenticalSimulationTraces) {
   ads::PipelineConfig config;
   config.seed = 5;
-  std::size_t index = 0;
   for (const auto& s : sim::base_suite()) {
     const sim::Scenario reparsed = parse_scenario(serialize(s));
-    const core::GoldenTrace original = core::run_golden(s, config, index);
-    const core::GoldenTrace replayed = core::run_golden(reparsed, config, index);
-    EXPECT_EQ(trace_fingerprint(original), trace_fingerprint(replayed))
+    EXPECT_EQ(run_fingerprint(s, config), run_fingerprint(reparsed, config))
         << "trace diverged after DSL round-trip for " << s.name;
-    ++index;
   }
 }
 
@@ -144,6 +153,19 @@ TEST(Dsl, RejectsMalformedInputWithLineNumbers) {
   EXPECT_EQ(line_of("scenario a\n  description \"dangling\\"), 2u);
   EXPECT_EQ(line_of("scenario a\n  description \"unterminated\n"), 2u);
   EXPECT_EQ(line_of("scenario a\n"), 1u);  // never closed, reports opener
+  // Procedure P takes v0 / (amax_comfort * 5 ms) steps per scene: 0.001
+  // stalls golden precompute, while 0 or nan make every scene read as
+  // safe. The documented floor, 1 m/s^2, parses.
+  const auto ego_params_line = [&](const std::string& params) {
+    return line_of("scenario a\n  duration 4\n  ego_params " + params +
+                   "\nend\n");
+  };
+  for (const char* bad :
+       {"amax_comfort=0.001", "amax_comfort=0", "amax_comfort=nan",
+        "amax_comfort=0.999", "wheelbase=0", "wheelbase=-2.8",
+        "wheelbase=inf", "max_speed=nan"})
+    EXPECT_EQ(ego_params_line(bad), 3u) << bad;
+  EXPECT_EQ(ego_params_line("amax_comfort=1"), 0u);
   EXPECT_THROW(parse_scenario(""), ScnError);
   EXPECT_THROW(parse_scenario("scenario a\nend\nscenario b\nend\n"), ScnError);
 }
