@@ -10,13 +10,16 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/bayes_model.h"
 #include "core/experiment.h"
 #include "core/fault_model.h"
+#include "core/jsonl.h"
 #include "core/selector.h"
 #include "scenario/dsl.h"
 #include "sim/scenario.h"
@@ -35,10 +38,8 @@ struct CampaignArgs {
   std::size_t scenarios_limit = 0;
   std::uint64_t pipeline_seed = 7;
   unsigned threads = 0;
-  bool fork_replays = true;
   std::size_t checkpoint_stride = 4;
-  bool replay_tree = true;
-  std::size_t max_live_snapshots = 0;
+  std::size_t max_live_snapshots = std::numeric_limits<std::size_t>::max();
 };
 
 inline const char* kCampaignFlagHelp =
@@ -54,35 +55,51 @@ inline const char* kCampaignFlagHelp =
     "  --scenarios K        truncate the corpus to its first K scenarios\n"
     "  --pipeline-seed S    sensor-noise seed (default 7)\n"
     "  --threads N          worker threads (0 = all hardware)\n"
-    "  --fork / --no-fork   fork-from-golden replay (default: on)\n"
-    "  --checkpoint-stride N  scenes between golden checkpoints (default 4)\n"
-    "  --replay-tree / --no-replay-tree\n"
-    "                       shared-prefix replay tree (default: on; cost-only,\n"
-    "                       results identical either way)\n"
-    "  --max-live-snapshots N  cap on in-memory trunk snapshots (0 = uncapped;\n"
-    "                       over-budget tails fall back to golden checkpoints)\n";
+    "  --checkpoint-stride N  scenes between golden checkpoints (default 4;\n"
+    "                       0 = none)\n"
+    "  --max-live-snapshots N  cap on in-memory trunk snapshots (default:\n"
+    "                       uncapped; 0 = no trunk snapshots, every tail\n"
+    "                       restores its golden checkpoint). Both knobs are\n"
+    "                       cost-only: with both at 0 every run simulates its\n"
+    "                       whole scenario, and results are identical.\n";
+
+/// Parses the value of a numeric flag with core::parse_u64_strict: digits
+/// only, within T's range, so a typo ("x"), a sign ("-1"), an empty value
+/// or an overflow is refused instead of silently becoming 0 or SIZE_MAX.
+/// Exits with status 2 naming the flag.
+template <typename T>
+T parse_count(const std::string& flag, const char* text) {
+  try {
+    const std::uint64_t value = drivefi::core::parse_u64_strict(text, flag);
+    if (value <= std::numeric_limits<T>::max()) return static_cast<T>(value);
+  } catch (const std::runtime_error&) {
+    // Reported below, like an out-of-range value.
+  }
+  std::fprintf(stderr,
+               "error: %s wants a non-negative integer up to %llu, got \"%s\"\n",
+               flag.c_str(),
+               static_cast<unsigned long long>(std::numeric_limits<T>::max()),
+               text);
+  std::exit(2);
+}
 
 /// Consumes one campaign flag; returns false when `arg` is not a campaign
 /// flag (the caller handles its own). `next` yields the flag's value.
 inline bool parse_campaign_flag(CampaignArgs& a, const std::string& arg,
                                 const std::function<const char*()>& next) {
   if (arg == "--model") a.model_name = next();
-  else if (arg == "--runs") a.runs = static_cast<std::size_t>(std::atoll(next()));
-  else if (arg == "--seed") a.seed = static_cast<std::uint64_t>(std::atoll(next()));
-  else if (arg == "--bits") a.bits = static_cast<unsigned>(std::atoi(next()));
-  else if (arg == "--replays") a.replays = static_cast<std::size_t>(std::atoll(next()));
+  else if (arg == "--runs") a.runs = parse_count<std::size_t>(arg, next());
+  else if (arg == "--seed") a.seed = parse_count<std::uint64_t>(arg, next());
+  else if (arg == "--bits") a.bits = parse_count<unsigned>(arg, next());
+  else if (arg == "--replays") a.replays = parse_count<std::size_t>(arg, next());
   else if (arg == "--load-bn") a.load_bn = next();
   else if (arg == "--save-bn") a.save_bn = next();
   else if (arg == "--scn") a.scn_path = next();
-  else if (arg == "--scenarios") a.scenarios_limit = static_cast<std::size_t>(std::atoll(next()));
-  else if (arg == "--pipeline-seed") a.pipeline_seed = static_cast<std::uint64_t>(std::atoll(next()));
-  else if (arg == "--threads") a.threads = static_cast<unsigned>(std::atoi(next()));
-  else if (arg == "--fork") a.fork_replays = true;
-  else if (arg == "--no-fork") a.fork_replays = false;
-  else if (arg == "--checkpoint-stride") a.checkpoint_stride = static_cast<std::size_t>(std::atoll(next()));
-  else if (arg == "--replay-tree") a.replay_tree = true;
-  else if (arg == "--no-replay-tree") a.replay_tree = false;
-  else if (arg == "--max-live-snapshots") a.max_live_snapshots = static_cast<std::size_t>(std::atoll(next()));
+  else if (arg == "--scenarios") a.scenarios_limit = parse_count<std::size_t>(arg, next());
+  else if (arg == "--pipeline-seed") a.pipeline_seed = parse_count<std::uint64_t>(arg, next());
+  else if (arg == "--threads") a.threads = parse_count<unsigned>(arg, next());
+  else if (arg == "--checkpoint-stride") a.checkpoint_stride = parse_count<std::size_t>(arg, next());
+  else if (arg == "--max-live-snapshots") a.max_live_snapshots = parse_count<std::size_t>(arg, next());
   else return false;
   return true;
 }
@@ -115,9 +132,7 @@ inline CampaignSetup build_campaign(const CampaignArgs& a, bool quiet) {
   config.seed = a.pipeline_seed;
   core::ExperimentOptions options;
   options.executor.threads = a.threads;
-  options.fork_replays = a.fork_replays;
   options.checkpoint_stride = a.checkpoint_stride;
-  options.replay_tree = a.replay_tree;
   options.max_live_snapshots = a.max_live_snapshots;
 
   if (!quiet)

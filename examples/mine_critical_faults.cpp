@@ -10,7 +10,6 @@
 //     --save-bn FILE  persist the fitted predictor for later campaigns
 //     --jsonl FILE    stream selection + run records as JSONL
 //     --threads N     selection/replay thread count (0 = all hardware)
-//     --fork / --no-fork      toggle fork-from-golden replay (default: on)
 //     --checkpoint-stride N   scenes between golden checkpoints (default 4)
 //
 // This walkthrough narrates the paper's workflow; for production campaigns
@@ -29,6 +28,7 @@
 #include "core/fault_model.h"
 #include "core/report.h"
 #include "core/selector.h"
+#include "obs/metrics.h"
 #include "scenario/dsl.h"
 #include "sim/scenario.h"
 
@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
   std::size_t n_replay = 25;
   std::string scn_path, load_bn, save_bn, jsonl_path;
   unsigned threads = 0;
-  bool fork_replays = true;
   std::size_t checkpoint_stride = 4;
   std::size_t positional = 0;
   for (int i = 1; i < argc; ++i) {
@@ -56,8 +55,6 @@ int main(int argc, char** argv) {
     else if (arg == "--save-bn") save_bn = next();
     else if (arg == "--jsonl") jsonl_path = next();
     else if (arg == "--threads") threads = static_cast<unsigned>(std::atoi(next()));
-    else if (arg == "--fork") fork_replays = true;
-    else if (arg == "--no-fork") fork_replays = false;
     else if (arg == "--checkpoint-stride")
       checkpoint_stride = static_cast<std::size_t>(std::atoi(next()));
     else if (positional == 0) { n_scenarios = static_cast<std::size_t>(std::atoi(arg.c_str())); ++positional; }
@@ -77,12 +74,10 @@ int main(int argc, char** argv) {
   config.seed = 7;
   core::ExperimentOptions options;
   options.executor.threads = threads;
-  options.fork_replays = fork_replays;
   options.checkpoint_stride = checkpoint_stride;
-  std::printf("running %zu golden scenarios%s (fork-from-golden %s, "
-              "checkpoint stride %zu)...\n",
+  std::printf("running %zu golden scenarios%s (checkpoint stride %zu)...\n",
               suite.size(), scn_path.empty() ? "" : (" from " + scn_path).c_str(),
-              fork_replays ? "on" : "off", checkpoint_stride);
+              checkpoint_stride);
   const core::Experiment experiment(suite, config, {}, options);
 
   // The full DriveFI loop as one fault model: fit (or load) the k-TBN,
@@ -152,15 +147,18 @@ int main(int argc, char** argv) {
   }
   const core::CampaignStats replay = experiment.run(*model, sinks);
   core::outcome_table(replay).print("replay outcomes");
-  std::printf("replay wall-clock: %.2f s for %zu runs (fork %s",
-              replay.wall_seconds, replay.total(), fork_replays ? "on" : "off");
-  if (experiment.forked_runs_executed() > 0)
-    std::printf("; %zu forked, %zu spliced, mean %.4f s/run vs %.4f s full",
-                experiment.forked_runs_executed(),
-                experiment.spliced_runs_executed(),
-                experiment.mean_forked_run_wall_seconds(),
-                experiment.mean_run_wall_seconds());
-  std::printf(")\n");
+  const obs::Histogram::Snapshot replay_walls =
+      obs::metrics().histogram("experiment.run_wall_seconds").snapshot();
+  std::printf("replay wall-clock: %.2f s for %zu runs (%llu forked, %llu "
+              "spliced, mean %.4f s/run vs %.4f s full)\n",
+              replay.wall_seconds, replay.total(),
+              static_cast<unsigned long long>(
+                  obs::metrics().counter("experiment.replays_forked").value()),
+              static_cast<unsigned long long>(
+                  obs::metrics().counter("experiment.replays_spliced").value()),
+              replay_walls.sum_seconds /
+                  static_cast<double>(std::max<std::uint64_t>(1, replay_walls.count)),
+              experiment.mean_run_wall_seconds());
   core::validation_table(selection, replay, model->catalog().scene_count)
       .print("validation summary");
   if (!jsonl_path.empty())

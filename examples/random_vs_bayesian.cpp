@@ -3,7 +3,6 @@
 // finds safety-critical faults, Bayesian FI finds them immediately.
 //
 //   ./random_vs_bayesian [budget] [options]
-//     --fork / --no-fork      toggle fork-from-golden replay (default: on)
 //     --checkpoint-stride N   scenes between golden checkpoints (default 4)
 //
 // This walkthrough contrasts the two models side by side; to run either
@@ -20,21 +19,17 @@
 #include "core/fault_model.h"
 #include "core/report.h"
 #include "core/selector.h"
+#include "obs/metrics.h"
 #include "sim/scenario.h"
 
 using namespace drivefi;
 
 int main(int argc, char** argv) {
   std::size_t budget = 30;
-  bool fork_replays = true;
   std::size_t checkpoint_stride = 4;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--fork") {
-      fork_replays = true;
-    } else if (arg == "--no-fork") {
-      fork_replays = false;
-    } else if (arg == "--checkpoint-stride") {
+    if (arg == "--checkpoint-stride") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "error: --checkpoint-stride needs a value\n");
         return 2;
@@ -55,11 +50,9 @@ int main(int argc, char** argv) {
   ads::PipelineConfig config;
   config.seed = 11;
   core::ExperimentOptions options;
-  options.fork_replays = fork_replays;
   options.checkpoint_stride = checkpoint_stride;
   const core::Experiment experiment(suite, config, {}, options);
-  std::printf("fork-from-golden replay %s (checkpoint stride %zu)\n",
-              fork_replays ? "on" : "off", checkpoint_stride);
+  std::printf("checkpoint stride %zu\n", checkpoint_stride);
 
   // --- Random FI with `budget` injections ---
   std::printf("random value-corruption campaign (%zu injections)...\n",
@@ -80,13 +73,17 @@ int main(int argc, char** argv) {
   core::outcome_table(bayes_stats).print("Bayesian FI outcomes");
   std::printf("Bayesian replay wall-clock: %.2f s\n", bayes_stats.wall_seconds);
 
-  if (experiment.forked_runs_executed() > 0)
-    std::printf("\nforked replays: %zu (%zu spliced), mean %.4f s/run vs "
-                "%.4f s full-sim\n",
-                experiment.forked_runs_executed(),
-                experiment.spliced_runs_executed(),
-                experiment.mean_forked_run_wall_seconds(),
-                experiment.mean_run_wall_seconds());
+  const obs::Histogram::Snapshot replay_walls =
+      obs::metrics().histogram("experiment.run_wall_seconds").snapshot();
+  std::printf("\nforked replays: %llu (%llu spliced), mean %.4f s/run vs "
+              "%.4f s full-sim\n",
+              static_cast<unsigned long long>(
+                  obs::metrics().counter("experiment.replays_forked").value()),
+              static_cast<unsigned long long>(
+                  obs::metrics().counter("experiment.replays_spliced").value()),
+              replay_walls.sum_seconds /
+                  static_cast<double>(std::max<std::uint64_t>(1, replay_walls.count)),
+              experiment.mean_run_wall_seconds());
 
   std::printf("\nhazards found -- random: %zu / %zu, Bayesian: %zu / %zu\n",
               random_stats.hazard, random_stats.total(), bayes_stats.hazard,

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -19,6 +20,18 @@
 #include "util/number_format.h"
 
 namespace drivefi::coord {
+
+namespace {
+
+// Carries a master-store failure through the per-connection handler, which
+// treats every std::exception as that worker's fault. A failing store is
+// the coordinator's own fault: serve() rethrows the store's error instead
+// of dropping an innocent worker.
+struct StoreFailure {
+  std::exception_ptr error;
+};
+
+}  // namespace
 
 struct Coordinator::Connection {
   explicit Connection(net::TcpSocket socket) : msg(std::move(socket)) {}
@@ -116,6 +129,8 @@ FleetStats Coordinator::serve() {
           handle_message(*conn, line);
           if (conn->defunct) break;
         }
+      } catch (const StoreFailure& failure) {
+        std::rethrow_exception(failure.error);
       } catch (const std::exception& error) {
         // Socket death or a corrupt stream: this worker is gone. Its
         // leases go back to pending; the campaign carries on.
@@ -283,7 +298,11 @@ void Coordinator::handle_message(Connection& conn, const std::string& line) {
     } else {
       DFI_SPAN("coord.merge_append");
       const auto append_start = std::chrono::steady_clock::now();
-      store_.append(record);  // THE merge step, durable per record
+      try {
+        store_.append(record);  // THE merge step, durable per record
+      } catch (...) {
+        throw StoreFailure{std::current_exception()};
+      }
       obs::metrics()
           .histogram("coord.merge_append_seconds")
           .observe(std::chrono::duration<double>(

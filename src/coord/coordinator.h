@@ -78,8 +78,10 @@ class Coordinator {
 
   /// Serves the fleet until every planned run is durably stored, then
   /// notifies connected workers (`complete`) and returns. Safe to call on
-  /// an already-complete store (returns immediately). Throws on store I/O
-  /// failure; individual worker failures never propagate.
+  /// an already-complete store (returns immediately). A master-store
+  /// failure (an append that throws: disk full, closed stream) stops
+  /// serving and is rethrown as is, leaving every record appended before
+  /// it for a --resume; individual worker failures never propagate.
   FleetStats serve();
 
   /// Asks a serve() on another thread to return after its current tick

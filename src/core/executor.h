@@ -1,11 +1,13 @@
 /// \file
-/// Deterministic parallel campaign execution. A ParallelExecutor fans
-/// independent runs out over a std::thread pool and delivers results to the
-/// consumer in strictly increasing run-index order (a small reorder buffer
-/// holds out-of-order completions). Because every run derives its own seed
-/// from (campaign_seed, run_index) and the consumer sees index order, a
-/// campaign's output is bit-identical regardless of thread count or
-/// completion order.
+/// Deterministic parallel campaign execution on one work queue. Every
+/// parallel phase -- golden precompute, the Bayesian catalog sweep, and
+/// the replay tree's trunk and tail tasks -- pushes its tasks onto a
+/// TaskQueue that the calling thread and its helpers drain together.
+/// ParallelExecutor::run_ordered is the indexed form: it runs produce(i)
+/// for every i and delivers results to the consumer in strictly increasing
+/// i order. Because every run derives its own seed from (campaign_seed,
+/// run_index) and the consumer sees index order, a campaign's output is
+/// bit-identical regardless of thread count or completion order.
 ///
 /// The reorder buffer is an OrderedEmitter: producers deposit completed
 /// results into their own pre-allocated slot without taking any lock (an
@@ -16,15 +18,17 @@
 /// be inside the consumer; now only drain ownership is contended.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -151,6 +155,41 @@ class OrderedEmitter {
   obs::Histogram& consume_time_;
 };
 
+/// The pool's one work queue. Tasks run on a fixed set of threads -- the
+/// caller of run() plus helpers -- until nothing is queued or running.
+/// Running tasks may push more: push_back appends, push_front prepends a
+/// batch in order (the replay tree drains one group's tails, freeing its
+/// snapshots, before it starts another trunk). Tasks must not throw; they
+/// report errors through their own channel (OrderedEmitter::fail) and may
+/// cancel() the rest. Idle workers block on a condition variable, and the
+/// blocked time feeds the executor.idle_wait_seconds histogram, so queue
+/// starvation is visible in --metrics-out.
+class TaskQueue {
+ public:
+  TaskQueue();
+
+  void push_back(std::function<void()> task);
+  void push_front(std::vector<std::function<void()>> tasks);
+
+  /// Drops every queued task. Running tasks finish; then run() returns.
+  void cancel();
+
+  /// Works the queue on `threads` threads (the calling thread and
+  /// threads - 1 helpers; at least the caller) until every task, including
+  /// the ones tasks push, has run or the queue is cancelled.
+  void run(unsigned threads);
+
+ private:
+  void work();
+
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::deque<std::function<void()>> tasks_;
+  std::size_t outstanding_ = 0;  ///< queued + running
+  bool cancelled_ = false;
+  obs::Histogram& idle_wait_;
+};
+
 class ParallelExecutor {
  public:
   explicit ParallelExecutor(ExecutorConfig config = {})
@@ -169,43 +208,20 @@ class ParallelExecutor {
   void run_ordered(std::size_t n,
                    const std::function<Result(std::size_t)>& produce,
                    const std::function<void(Result&&)>& consume) const {
-    const unsigned workers = static_cast<unsigned>(
-        std::min<std::size_t>(threads_, n == 0 ? 1 : n));
-    if (workers <= 1) {
-      // Serial path: results never queue, so only consume time is observed.
-      obs::Histogram& consume_time =
-          obs::metrics().histogram("executor.consume_seconds");
-      for (std::size_t i = 0; i < n; ++i) {
-        Result result = produce(i);
-        const auto consume_start = std::chrono::steady_clock::now();
-        consume(std::move(result));
-        consume_time.observe(std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() -
-                                 consume_start)
-                                 .count());
-      }
-      return;
-    }
-
     OrderedEmitter<Result> emitter(n, consume);
-    std::atomic<std::size_t> next_claim{0};
-    auto worker = [&] {
-      for (;;) {
-        const std::size_t i = next_claim.fetch_add(1);
-        if (i >= n || emitter.cancelled()) return;
+    TaskQueue queue;
+    for (std::size_t i = 0; i < n; ++i) {
+      queue.push_back([&, i] {
+        if (emitter.cancelled()) return;
         try {
           emitter.deposit(i, produce(i));
         } catch (...) {
           emitter.fail(std::current_exception());
-          return;
+          queue.cancel();
         }
-      }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
+      });
+    }
+    queue.run(static_cast<unsigned>(std::min<std::size_t>(threads_, n)));
     emitter.finish();
   }
 

@@ -23,15 +23,6 @@ namespace {
 // first run on each thread warms the buffer up.
 thread_local std::vector<ads::SceneRecord> t_scene_scratch;
 
-// A stride of 0 with forking on would record no checkpoints yet claim to
-// fork; normalize it to per-scene checkpoints up front so options(),
-// forking_enabled(), and the golden suite all agree.
-ExperimentOptions normalize(ExperimentOptions options) {
-  if (options.fork_replays && options.checkpoint_stride == 0)
-    options.checkpoint_stride = 1;
-  return options;
-}
-
 }  // namespace
 
 Experiment::Experiment(std::vector<sim::Scenario> scenarios,
@@ -41,11 +32,10 @@ Experiment::Experiment(std::vector<sim::Scenario> scenarios,
     : scenarios_(std::move(scenarios)),
       pipeline_config_(pipeline_config),
       classifier_config_(classifier_config),
-      options_(normalize(options)),
-      goldens_(run_golden_suite(
-          scenarios_, pipeline_config_,
-          options_.fork_replays ? options_.checkpoint_stride : 0,
-          options_.executor)) {}
+      options_(options),
+      goldens_(run_golden_suite(scenarios_, pipeline_config_,
+                                options_.checkpoint_stride,
+                                options_.executor)) {}
 
 double Experiment::mean_run_wall_seconds() const {
   if (goldens_.empty()) return 0.0;
@@ -65,52 +55,11 @@ double Experiment::median_run_wall_seconds() const {
                     : 0.5 * (walls[n / 2 - 1] + walls[n / 2]);
 }
 
-double Experiment::mean_forked_run_wall_seconds() const {
-  const std::uint64_t runs = forked_runs_.load(std::memory_order_relaxed);
-  if (runs == 0) return 0.0;
-  const std::uint64_t nanos =
-      forked_wall_nanos_.load(std::memory_order_relaxed);
-  return static_cast<double>(nanos) * 1e-9 / static_cast<double>(runs);
-}
-
 CampaignStats Experiment::run(const FaultModel& model,
                               const std::vector<ResultSink*>& sinks) const {
-  const auto start = std::chrono::steady_clock::now();
-  const std::size_t n = model.run_count();
-
-  CampaignMeta meta;
-  meta.model_name = model.name();
-  meta.planned_runs = n;
-  for (ResultSink* sink : sinks) sink->begin(meta);
-  // Model-specific campaign artifacts (e.g. the Bayesian selection behind
-  // a selected-fault replay) land between the header and the first record.
-  for (ResultSink* sink : sinks) model.describe(*sink);
-
-  CampaignStats stats;
-  stats.records.reserve(n);
-  const std::function<void(InjectionRecord&&)> consume =
-      [&](InjectionRecord&& record) {
-        stats.add(record);
-        for (ResultSink* sink : sinks) sink->consume(record);
-      };
-  if (tree_enabled() && n > 1) {
-    std::vector<std::size_t> all(n);
-    std::iota(all.begin(), all.end(), std::size_t{0});
-    const ReplayTreeExecutor tree(
-        *this, {options_.executor, options_.max_live_snapshots});
-    tree.run(build_replay_plan(model, all, *this), consume);
-  } else {
-    const ParallelExecutor executor(options_.executor);
-    executor.run_ordered<InjectionRecord>(
-        n, [&](std::size_t i) { return execute(model.spec(i, *this)); },
-        consume);
-  }
-
-  stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  for (ResultSink* sink : sinks) sink->finish(stats);
-  return stats;
+  std::vector<std::size_t> all(model.run_count());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return run_indices(model, all, nullptr, sinks);
 }
 
 CampaignStats Experiment::run_shard(const FaultModel& model,
@@ -176,19 +125,9 @@ CampaignStats Experiment::run_indices(
         stats.add(record);
         for (ResultSink* sink : sinks) sink->consume(record);
       };
-  if (tree_enabled() && ordered.size() > 1) {
-    // A fleet lease becomes a subtree: the plan covers exactly the leased
-    // indices, and order_pos recovers ascending run-index delivery.
-    const ReplayTreeExecutor tree(
-        *this, {options_.executor, options_.max_live_snapshots});
-    tree.run(build_replay_plan(model, ordered, *this), consume);
-  } else {
-    const ParallelExecutor executor(options_.executor);
-    executor.run_ordered<InjectionRecord>(
-        ordered.size(),
-        [&](std::size_t i) { return execute(model.spec(ordered[i], *this)); },
-        consume);
-  }
+  // A fleet lease becomes a subtree: the plan covers exactly the given
+  // indices, and order_pos recovers ascending run-index delivery.
+  run_replay_plan(*this, build_replay_plan(model, ordered, *this), consume);
 
   stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -242,7 +181,6 @@ RunResult Experiment::run_replay(const sim::Scenario& scenario,
                                  const ads::PipelineSnapshot* fork_from,
                                  const SpliceCandidates* extra_splice) const {
   DFI_SPAN("replay");
-  const bool fork = forking_enabled() && golden.checkpoint_stride > 0;
   const auto start = std::chrono::steady_clock::now();
 
   // Recycle this worker thread's scene storage and pre-size it: the
@@ -254,12 +192,16 @@ RunResult Experiment::run_replay(const sim::Scenario& scenario,
   [[maybe_unused]] const std::size_t reserved_capacity =
       pipeline.scenes().capacity();
 
-  if (fork && fork_from != nullptr) {
-    // Fork: resume from the golden checkpoint instead of re-simulating
-    // the bit-identical prefix (same noise seed, fault still unarmed).
+  if (fork_from != nullptr) {
+    // Fork: resume from the golden state instead of re-simulating the
+    // bit-identical prefix (same noise seed, fault still unarmed).
     pipeline.restore(*fork_from);
     pipeline.preload_scene_prefix(golden.scenes, fork_from->scene_index + 1);
   }
+  // Without a golden state to compare against (no checkpoints, no trunk
+  // snapshots) the replay simulates its whole scenario: a full replay.
+  const bool can_splice =
+      golden.checkpoint_stride > 0 || extra_splice != nullptr;
 
   const auto total_ticks = static_cast<std::uint64_t>(
       std::llround(scenario.duration * pipeline_config_.base_hz));
@@ -267,8 +209,7 @@ RunResult Experiment::run_replay(const sim::Scenario& scenario,
   while (pipeline.tick() < total_ticks) {
     const std::size_t scenes_before = pipeline.scenes().size();
     pipeline.step();
-    if (!fork || spliced || pipeline.scenes().size() == scenes_before)
-      continue;
+    if (!can_splice || pipeline.scenes().size() == scenes_before) continue;
 
     // A scene frame just closed. If the fault window is over and the
     // faulty state is bit-equal to a golden state at this scene -- the
@@ -288,7 +229,8 @@ RunResult Experiment::run_replay(const sim::Scenario& scenario,
       if (it != extra_splice->end() && it->first == scene)
         candidate = it->second;
     }
-    if (candidate == nullptr && scene % golden.checkpoint_stride == 0) {
+    if (candidate == nullptr && golden.checkpoint_stride > 0 &&
+        scene % golden.checkpoint_stride == 0) {
       const std::size_t k = scene / golden.checkpoint_stride;
       if (k < golden.checkpoints.size()) candidate = &golden.checkpoints[k];
     }
@@ -307,9 +249,6 @@ RunResult Experiment::run_replay(const sim::Scenario& scenario,
                    pipeline.any_module_hung(), classifier_config_);
   t_scene_scratch = pipeline.release_scenes();
 
-  const auto nanos = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
   // Function-local statics: one registry lookup ever, then lock-free
   // relaxed-atomic updates on the per-run hot path.
   static obs::Histogram& run_wall_hist =
@@ -320,16 +259,12 @@ RunResult Experiment::run_replay(const sim::Scenario& scenario,
       obs::metrics().counter("experiment.replays_full");
   static obs::Counter& spliced_metric =
       obs::metrics().counter("experiment.replays_spliced");
-  run_wall_hist.observe(static_cast<double>(nanos) * 1e-9);
-  if (fork) {
+  run_wall_hist.observe(
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count());
+  if (fork_from != nullptr || can_splice) {
     forked_metric.add();
-    forked_runs_.fetch_add(1, std::memory_order_relaxed);
-    forked_wall_nanos_.fetch_add(static_cast<std::uint64_t>(nanos),
-                                 std::memory_order_relaxed);
-    if (spliced) {
-      spliced_metric.add();
-      spliced_runs_.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (spliced) spliced_metric.add();
   } else {
     full_metric.add();
   }

@@ -3,17 +3,21 @@
 /// ADS configuration, and eagerly precomputed golden traces; every fault
 /// model (random bit flips, random value corruption, Bayesian-selected
 /// replays) runs through the same loop: FaultModel yields RunSpecs, a
-/// ParallelExecutor replays them against the goldens concurrently, and the
-/// classified records stream to ResultSinks in run-index order.
+/// replay plan groups them by scenario, the replay tree (core/replay_tree.h)
+/// replays them against the goldens concurrently, and the classified
+/// records stream to ResultSinks in run-index order.
 ///
 /// Replays fork from the golden twin instead of re-simulating it: golden
 /// runs checkpoint the full pipeline state every `checkpoint_stride`
-/// scenes, a replay restores the nearest checkpoint before its injection,
-/// and once the fault window has passed and the faulty state compares
-/// bit-equal to the golden checkpoint at the same scene the golden tail is
-/// spliced in instead of simulated. Forked replays are bit-identical to
-/// full replays -- records, stats, and JSONL output are byte-equal with
-/// forking on or off, at any thread count and any stride (enforced by
+/// scenes, each group's trunk walk snapshots the golden state at every
+/// divergence scene, a replay restores the nearest snapshot before its
+/// injection, and once the fault window has passed and the faulty state
+/// compares bit-equal to a golden state at the same scene the golden tail
+/// is spliced in instead of simulated. With both memory knobs at zero
+/// (`checkpoint_stride` 0, `max_live_snapshots` 0) nothing is restored or
+/// spliced and every run simulates its whole scenario: the full-replay
+/// oracle. Records, stats, and JSONL output are byte-equal to it at any
+/// thread count, stride, and budget (enforced by
 /// tests/determinism_test.cpp).
 ///
 /// Determinism: per-run randomness derives from (campaign seed, run index)
@@ -23,8 +27,8 @@
 /// bit-identical at any thread count.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -50,33 +54,22 @@ struct ExperimentOptions {
   double hold_scenes = 2.0;
   ExecutorConfig executor;
 
-  /// Fork-from-golden replay. `checkpoint_stride` (scenes between golden
-  /// checkpoints) is the memory/speed knob: stride 1 forks closest to the
-  /// injection but stores one full PipelineSnapshot per scene; larger
-  /// strides re-simulate up to stride-1 scenes of prefix per replay and
-  /// delay the earliest possible golden-tail splice, but divide checkpoint
-  /// memory by the stride. Forking never changes results -- only cost.
-  bool fork_replays = true;
+  /// Scenes between golden checkpoints: the memory/speed knob for the
+  /// replay prefix. Stride 1 forks closest to the injection but stores one
+  /// full PipelineSnapshot per scene; larger strides re-simulate up to
+  /// stride-1 scenes of prefix per replay that no trunk snapshot covers
+  /// and delay the earliest possible golden-tail splice, but divide
+  /// checkpoint memory by the stride. 0 records no checkpoints. Never
+  /// changes results -- only cost.
   std::size_t checkpoint_stride = 4;
 
-  /// Shared-prefix replay tree: campaigns group their runs by scenario,
-  /// one trunk walk per group re-materializes the golden state at every
-  /// divergence scene (restoring golden checkpoints to skip the gaps), and
-  /// each tail forks from its in-memory divergence snapshot instead of the
-  /// stride-aligned golden checkpoint. Tails also splice against the trunk
-  /// snapshots, so reconvergence is detected at divergence-scene
-  /// granularity instead of the checkpoint grid. Strictly a cost knob:
-  /// records, stats, and JSONL stay byte-identical with the tree on or off
-  /// at any thread count (enforced by tests/determinism_test.cpp). Only
-  /// effective when forking is enabled.
-  bool replay_tree = true;
-
-  /// Cap on live in-memory trunk snapshots across all in-flight groups
-  /// (0 = uncapped: the plan's snapshot demand). When a group wants more
-  /// than the remaining budget its shallowest divergence snapshots are
-  /// dropped at admission and those tails fall back to the golden
-  /// checkpoint restore of PR 4 -- slower, never different.
-  std::size_t max_live_snapshots = 0;
+  /// Cap on live in-memory trunk snapshots across all in-flight replay
+  /// groups (default: uncapped, the plan's whole snapshot demand). When a
+  /// group wants more than the remaining budget its shallowest divergence
+  /// snapshots are dropped at admission and those tails restore their
+  /// golden checkpoint instead -- slower, never different. 0 grants no
+  /// trunk snapshots: every tail restores its golden checkpoint.
+  std::size_t max_live_snapshots = std::numeric_limits<std::size_t>::max();
 };
 
 /// Extra golden-tail splice candidates for a replay, sorted by scene:
@@ -101,12 +94,6 @@ class Experiment {
   const ads::PipelineConfig& pipeline_config() const { return pipeline_config_; }
   const ClassifierConfig& classifier_config() const { return classifier_config_; }
   const ExperimentOptions& options() const { return options_; }
-  bool forking_enabled() const {
-    return options_.fork_replays && options_.checkpoint_stride > 0;
-  }
-  bool tree_enabled() const {
-    return options_.replay_tree && forking_enabled();
-  }
 
   double hold_scenes() const { return options_.hold_scenes; }
   double targeted_hold_seconds() const {
@@ -124,22 +111,13 @@ class Experiment {
   double mean_run_wall_seconds() const;
   double median_run_wall_seconds() const;
 
-  /// Wall-clock cost of one FORKED replay, measured over every replay this
-  /// engine has executed with forking enabled (0 until the first such
-  /// replay). The forked counterpart of mean_run_wall_seconds, so cost
-  /// models can report both sides of the optimization.
-  double mean_forked_run_wall_seconds() const;
-  std::size_t forked_runs_executed() const {
-    return forked_runs_.load(std::memory_order_relaxed);
-  }
-  /// How many of those replays ended in a golden-tail splice (the faulty
-  /// state reconverged bit-exactly before the scenario ended).
-  std::size_t spliced_runs_executed() const {
-    return spliced_runs_.load(std::memory_order_relaxed);
-  }
+  // Per-replay cost is observable through the experiment.replays_forked,
+  // experiment.replays_full, experiment.replays_spliced counters and the
+  // experiment.run_wall_seconds histogram (obs/metrics.h).
 
   /// Execute one campaign: every spec of the model, in parallel, delivered
-  /// to the sinks in run-index order. Returns the aggregate stats.
+  /// to the sinks in run-index order (run_indices over every index, with
+  /// no store). Returns the aggregate stats.
   CampaignStats run(const FaultModel& model,
                     const std::vector<ResultSink*>& sinks = {}) const;
 
@@ -158,10 +136,11 @@ class Experiment {
                           const std::vector<ResultSink*>& sinks = {}) const;
 
   /// Execute an explicit list of run indices -- the lease-execution path
-  /// the fleet worker (coord/worker.h) uses, and what run_shard reduces to
-  /// after subtracting the store. Indices may be any subset of
-  /// [0, model.run_count()) in any order; records are produced in parallel
-  /// and delivered to the store and sinks in ASCENDING run-index order.
+  /// the fleet worker (coord/worker.h) uses, and what run and run_shard
+  /// reduce to. Indices may be any subset of [0, model.run_count()) in any
+  /// order; they are planned into a replay tree (a fleet lease becomes a
+  /// subtree), produced in parallel, and delivered to the store and sinks
+  /// in ASCENDING run-index order.
   /// When `store` is non-null each record is appended durably -- unless the
   /// store already holds that index (a re-granted lease overlapping an
   /// earlier sitting), in which case the re-executed record is delivered to
@@ -203,11 +182,12 @@ class Experiment {
                              const SpliceCandidates* extra_splice = nullptr) const;
 
  private:
-  /// Shared replay driver: optionally restores `fork_from` (a golden
+  /// Shared replay driver: restores `fork_from` when given (a golden
   /// checkpoint or a trunk divergence snapshot), simulates the remainder,
   /// and splices the golden tail as soon as the faulty state reconverges
-  /// bit-exactly. The scene log lives in a recycled per-thread scratch
-  /// buffer and never reallocates.
+  /// bit-exactly with a splice candidate (`extra_splice`, and the
+  /// stride-aligned checkpoints when checkpoint_stride > 0). The scene log
+  /// lives in a recycled per-thread scratch buffer and never reallocates.
   RunResult run_replay(const sim::Scenario& scenario, const GoldenTrace& golden,
                        ads::AdsPipeline& pipeline,
                        const ads::PipelineSnapshot* fork_from,
@@ -218,12 +198,6 @@ class Experiment {
   ClassifierConfig classifier_config_;
   ExperimentOptions options_;
   std::vector<GoldenTrace> goldens_;
-
-  /// Forked-replay cost accounting (relaxed atomics: counters only, never
-  /// part of campaign results, so they cannot perturb determinism).
-  mutable std::atomic<std::uint64_t> forked_runs_{0};
-  mutable std::atomic<std::uint64_t> forked_wall_nanos_{0};
-  mutable std::atomic<std::uint64_t> spliced_runs_{0};
 };
 
 }  // namespace drivefi::core

@@ -185,7 +185,7 @@ CampaignManifest make_manifest(const Experiment& experiment,
   m.hold_scenes = experiment.options().hold_scenes;
   m.config_hash = campaign_config_hash(experiment.pipeline_config(),
                                        experiment.classifier_config());
-  m.fork_replays = experiment.options().fork_replays;
+  m.fork_replays = experiment.options().checkpoint_stride > 0;
   m.checkpoint_stride = experiment.options().checkpoint_stride;
   return m;
 }

@@ -67,6 +67,8 @@ struct CampaignManifest {
   std::uint64_t config_hash = 0;
 
   // -- provenance-only fields (excluded from compatibility) --------------
+  /// Whether replays could fork from golden checkpoints, i.e.
+  /// checkpoint_stride > 0 (kept so existing stores still parse).
   bool fork_replays = true;
   std::size_t checkpoint_stride = 4;
 

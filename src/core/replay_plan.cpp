@@ -38,24 +38,19 @@ ReplayPlan build_replay_plan(const FaultModel& model,
   plan.groups.reserve(by_scenario.size());
   for (auto& [scenario, group] : by_scenario) {
     (void)scenario;
-    // A trunk that serves a single tail amortizes nothing; degrade the
-    // node to the PR 4 fork-from-golden-checkpoint path.
+    // A trunk that serves a single tail amortizes nothing; the node
+    // restores its golden checkpoint directly.
     if (group.nodes.size() < 2)
       for (ReplayNode& node : group.nodes)
         node.fork_scene = GoldenTrace::kNoScene;
 
-    // Shallowest divergence first; kNoScene (PR 4 fallback) sorts last.
-    // order_pos breaks ties so the plan is deterministic.
-    std::sort(group.nodes.begin(), group.nodes.end(),
-              [](const ReplayNode& a, const ReplayNode& b) {
-                if (a.fork_scene != b.fork_scene)
-                  return a.fork_scene < b.fork_scene;
-                return a.order_pos < b.order_pos;
-              });
-
+    // Tails stay in run order (nodes were appended by ascending order_pos),
+    // so the ordered emitter can release each record as soon as it is done;
+    // the trunk walk wants its capture scenes sorted and unique.
     for (const ReplayNode& node : group.nodes)
       if (node.fork_scene != GoldenTrace::kNoScene)
         group.capture_scenes.push_back(node.fork_scene);
+    std::sort(group.capture_scenes.begin(), group.capture_scenes.end());
     group.capture_scenes.erase(
         std::unique(group.capture_scenes.begin(), group.capture_scenes.end()),
         group.capture_scenes.end());

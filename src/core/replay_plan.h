@@ -27,8 +27,8 @@ class Experiment;
 
 /// One campaign run as the tree executes it: the spec, its position in the
 /// ordered output sequence, and the trunk scene it forks from
-/// (GoldenTrace::kNoScene = no trunk snapshot applies; the node runs the
-/// PR 4 fork-from-golden-checkpoint path unchanged).
+/// (GoldenTrace::kNoScene = no trunk snapshot applies; the node restores
+/// its stride-aligned golden checkpoint, if any).
 struct ReplayNode {
   RunSpec spec;
   std::size_t order_pos = 0;
@@ -37,8 +37,8 @@ struct ReplayNode {
 
 /// All replays that share one scenario's golden prefix. `capture_scenes`
 /// is the sorted, deduplicated set of divergence scenes the trunk walk
-/// must snapshot; nodes are sorted shallowest divergence first (PR 4
-/// fallback nodes, which have no divergence scene, come last).
+/// must snapshot; nodes are in run order (ascending order_pos), so a
+/// group's records stream out as its tails finish.
 struct ReplayGroup {
   std::size_t scenario_index = 0;
   std::vector<std::size_t> capture_scenes;
@@ -58,9 +58,9 @@ struct ReplayPlan {
 
 /// Builds the plan for executing `ordered_indices` (ascending run indices;
 /// order_pos i corresponds to ordered_indices[i]) of `model`. Groups with
-/// fewer than two nodes degrade to the PR 4 path: a trunk that serves a
-/// single tail cannot amortize anything, so its node keeps forking from
-/// the golden checkpoint directly.
+/// fewer than two nodes get no trunk: a trunk that serves a single tail
+/// cannot amortize anything, so its node forks from the golden checkpoint
+/// directly.
 ReplayPlan build_replay_plan(const FaultModel& model,
                              const std::vector<std::size_t>& ordered_indices,
                              const Experiment& experiment);

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <deque>
+#include <limits>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/executor.h"
 #include "core/experiment.h"
 #include "obs/metrics.h"
 
@@ -21,27 +18,26 @@ namespace {
 // Global live-snapshot budget shared by every in-flight group. Admission
 // control only affects WHICH snapshots exist, i.e. where tails fork and
 // where reconvergence is detected -- cost, never content -- so a relaxed
-// best-effort counter is safe.
+// best-effort counter is safe. The default cap, SIZE_MAX, clamps to a
+// count that never runs out.
 class SnapshotBudget {
  public:
   explicit SnapshotBudget(std::size_t cap)
-      : uncapped_(cap == 0), available_(static_cast<long long>(cap)) {}
+      : available_(static_cast<long long>(std::min<std::size_t>(
+            cap, std::numeric_limits<long long>::max()))) {}
 
   bool try_acquire() {
-    if (uncapped_) return true;
     if (available_.fetch_sub(1, std::memory_order_relaxed) > 0) return true;
     available_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
 
   void release(std::size_t count) {
-    if (!uncapped_)
-      available_.fetch_add(static_cast<long long>(count),
-                           std::memory_order_relaxed);
+    available_.fetch_add(static_cast<long long>(count),
+                         std::memory_order_relaxed);
   }
 
  private:
-  bool uncapped_;
   std::atomic<long long> available_;
 };
 
@@ -119,7 +115,8 @@ InjectionRecord execute_node(const Experiment& experiment,
   if (node.fork_scene != GoldenTrace::kNoScene) {
     fork = rt.fork_for(node.fork_scene);
     if (fork == nullptr) {
-      // Divergence snapshot dropped at admission: PR 4 path.
+      // Divergence snapshot dropped at admission: restore the golden
+      // checkpoint instead.
       fallback_metric.add();
     } else {
       // How many prefix scenes the trunk saved this tail over the
@@ -140,126 +137,27 @@ InjectionRecord execute_node(const Experiment& experiment,
                             rt.candidates.empty() ? nullptr : &rt.candidates);
 }
 
-// Dynamic work queue for the tree: group (trunk) tasks seed the back, each
-// materialized group pushes its tails at the FRONT (depth-first -- drain a
-// group's tails, freeing its snapshots, before starting another trunk).
-// Idle workers block on a condition variable; blocked time feeds the
-// executor.idle_wait_seconds histogram so queue starvation is visible in
-// --metrics-out.
-class TaskQueue {
- public:
-  TaskQueue()
-      : idle_wait_(obs::metrics().histogram("executor.idle_wait_seconds")) {}
-
-  void push_back(std::function<void()> task) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      tasks_.push_back(std::move(task));
-      ++outstanding_;
-    }
-    cv_.notify_one();
-  }
-
-  void push_front(std::vector<std::function<void()>> tasks) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      for (auto it = tasks.rbegin(); it != tasks.rend(); ++it)
-        tasks_.push_front(std::move(*it));
-      outstanding_ += tasks.size();
-    }
-    cv_.notify_all();
-  }
-
-  void cancel() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      cancelled_ = true;
-      outstanding_ -= tasks_.size();
-      tasks_.clear();
-    }
-    cv_.notify_all();
-  }
-
-  void worker_loop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-      if (!cancelled_ && tasks_.empty() && outstanding_ > 0) {
-        // Running tasks may still spawn tails; wait for work or drain-out.
-        const auto idle_start = std::chrono::steady_clock::now();
-        cv_.wait(lock, [&] {
-          return cancelled_ || !tasks_.empty() || outstanding_ == 0;
-        });
-        idle_wait_.observe(std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - idle_start)
-                               .count());
-      }
-      if (cancelled_ || (tasks_.empty() && outstanding_ == 0)) return;
-      if (tasks_.empty()) continue;
-      std::function<void()> task = std::move(tasks_.front());
-      tasks_.pop_front();
-      lock.unlock();
-      task();  // tasks capture their own exceptions
-      lock.lock();
-      --outstanding_;
-      if (outstanding_ == 0 && tasks_.empty()) cv_.notify_all();
-    }
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> tasks_;
-  std::size_t outstanding_ = 0;
-  bool cancelled_ = false;
-  obs::Histogram& idle_wait_;
-};
-
 }  // namespace
 
-void ReplayTreeExecutor::run(
-    const ReplayPlan& plan,
-    const std::function<void(InjectionRecord&&)>& consume) const {
+void run_replay_plan(const Experiment& experiment, const ReplayPlan& plan,
+                     const std::function<void(InjectionRecord&&)>& consume) {
   if (plan.total_nodes == 0) return;
   OrderedEmitter<InjectionRecord> emitter(plan.total_nodes, consume);
-  SnapshotBudget budget(options_.max_live_snapshots);
+  SnapshotBudget budget(experiment.options().max_live_snapshots);
 
-  const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(
-      resolve_thread_count(options_.executor.threads), plan.total_nodes));
-
-  if (workers <= 1) {
-    // Serial path: groups in plan order, nodes in group order; the emitter
-    // still reorders deposits into ascending order_pos delivery.
-    for (const ReplayGroup& group : plan.groups) {
-      if (emitter.cancelled()) break;
-      GroupRuntime rt;
-      rt.group = &group;
-      rt.budget = &budget;
-      rt.remaining.store(group.nodes.size(), std::memory_order_relaxed);
-      try {
-        prepare_group(experiment_, rt);
-        for (const ReplayNode& node : group.nodes) {
-          if (emitter.cancelled()) break;
-          emitter.deposit(node.order_pos, execute_node(experiment_, rt, node));
-          rt.node_done();
-        }
-      } catch (...) {
-        emitter.fail(std::current_exception());
-      }
-    }
-    emitter.finish();
-    return;
-  }
-
+  // Group (trunk) tasks seed the back of the queue; each materialized group
+  // pushes its tails at the FRONT, in run order (depth-first: drain a
+  // group's tails, freeing its snapshots, before starting another trunk).
   TaskQueue queue;
   for (const ReplayGroup& group : plan.groups) {
     auto rt = std::make_shared<GroupRuntime>();
     rt->group = &group;
     rt->budget = &budget;
     rt->remaining.store(group.nodes.size(), std::memory_order_relaxed);
-    queue.push_back([this, rt, &emitter, &queue] {
+    queue.push_back([&experiment, rt, &emitter, &queue] {
       if (emitter.cancelled()) return;
       try {
-        prepare_group(experiment_, *rt);
+        prepare_group(experiment, *rt);
       } catch (...) {
         emitter.fail(std::current_exception());
         queue.cancel();
@@ -268,11 +166,11 @@ void ReplayTreeExecutor::run(
       std::vector<std::function<void()>> tails;
       tails.reserve(rt->group->nodes.size());
       for (const ReplayNode& node : rt->group->nodes) {
-        tails.push_back([this, rt, &emitter, &queue, &node] {
+        tails.push_back([&experiment, rt, &emitter, &queue, &node] {
           if (!emitter.cancelled()) {
             try {
               emitter.deposit(node.order_pos,
-                              execute_node(experiment_, *rt, node));
+                              execute_node(experiment, *rt, node));
             } catch (...) {
               emitter.fail(std::current_exception());
               queue.cancel();
@@ -285,11 +183,9 @@ void ReplayTreeExecutor::run(
     });
   }
 
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w)
-    pool.emplace_back([&queue] { queue.worker_loop(); });
-  for (auto& t : pool) t.join();
+  queue.run(static_cast<unsigned>(std::min<std::size_t>(
+      resolve_thread_count(experiment.options().executor.threads),
+      plan.total_nodes)));
   emitter.finish();
 }
 

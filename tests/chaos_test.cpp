@@ -14,7 +14,9 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -260,6 +262,102 @@ TEST(Chaos, CoordinatorKilledAndResumedMidCampaignMergesBitIdentical) {
   expect_bit_identical(master_path, ref, "coordinator kill+resume");
 }
 
+/// A master store whose `fail_at`-th append throws, as a full disk would;
+/// every other call goes to the store it wraps.
+class FailingStore : public ShardStore {
+ public:
+  FailingStore(ShardStore& inner, std::size_t fail_at)
+      : inner_(inner), fail_at_(fail_at) {}
+
+  const std::string& path() const override { return inner_.path(); }
+  const CampaignManifest& manifest() const override {
+    return inner_.manifest();
+  }
+  const std::set<std::size_t>& completed() const override {
+    return inner_.completed();
+  }
+  void append(const InjectionRecord& record) override {
+    if (++appends_ == fail_at_)
+      throw std::runtime_error("injected store failure: disk full");
+    inner_.append(record);
+  }
+
+  std::size_t appends() const { return appends_; }
+
+ private:
+  ShardStore& inner_;
+  std::size_t fail_at_;
+  std::size_t appends_ = 0;
+};
+
+TEST(Chaos, MasterStoreFailureStopsTheCoordinatorNotAWorker) {
+  // The master store's append throws mid-campaign. That is the
+  // coordinator's own failure, not the sending worker's: serve() must stop
+  // and rethrow the store's error at once -- not drop the worker as if its
+  // socket had died and carry on into a store that rejects every later
+  // append. Everything appended before the failure stays durable, and a
+  // new coordinator resuming the store finishes the campaign byte-identical.
+  const Experiment experiment = make_experiment(2);
+  const RandomValueModel model(18, 77);
+  const Reference ref = reference_run(experiment, model);
+
+  const CampaignManifest manifest = make_manifest(experiment, model, "test");
+  const std::string master_path = temp_path("drivefi_chaos_store_failure.jsonl");
+  auto master = std::make_unique<ShardResultStore>(master_path, manifest,
+                                                   StoreOpenMode::kOverwrite);
+  FailingStore failing(*master, /*fail_at=*/4);
+  auto coordinator = std::make_unique<coord::Coordinator>(
+      manifest, failing, chaos_coordinator_config());
+  const std::uint16_t port = coordinator->port();
+
+  std::string serve_error;
+  std::thread first_serve([&] {
+    try {
+      coordinator->serve();
+    } catch (const std::exception& error) {
+      serve_error = error.what();
+    }
+  });
+  coord::WorkerStats wa, wb;
+  std::thread ta([&] {
+    coord::WorkerClient worker(experiment, model, "test",
+                               chaos_worker_config("sfA", port, nullptr));
+    wa = worker.run();
+  });
+  std::thread tb([&] {
+    coord::WorkerClient worker(experiment, model, "test",
+                               chaos_worker_config("sfB", port, nullptr));
+    wb = worker.run();
+  });
+  first_serve.join();
+  coordinator.reset();
+
+  EXPECT_EQ(serve_error, "injected store failure: disk full");
+  EXPECT_EQ(failing.appends(), 4u)
+      << "serve() kept appending after the store failed";
+  EXPECT_EQ(master->completed().size(), 3u);
+
+  // The operator fixes the disk and runs `drivefi_campaignd --resume`.
+  master.reset();
+  master = std::make_unique<ShardResultStore>(master_path, manifest,
+                                              StoreOpenMode::kResume);
+  ASSERT_EQ(master->completed().size(), 3u);
+  coord::CoordinatorConfig resume_config = chaos_coordinator_config();
+  resume_config.port = port;
+  auto resumed = std::make_unique<coord::Coordinator>(manifest, *master,
+                                                      resume_config);
+  const coord::FleetStats second_sitting = resumed->serve();
+  resumed.reset();
+  ta.join();
+  tb.join();
+
+  EXPECT_EQ(second_sitting.resumed_runs, 3u);
+  EXPECT_FALSE(wa.gave_up);
+  EXPECT_FALSE(wb.gave_up);
+  EXPECT_EQ(master->completed().size(), model.run_count());
+  expect_bit_identical(master_path, ref, "store failure + resume");
+}
+
 TEST(Chaos, MultiFailureStormStillMergesBitIdenticalAndCountsFaults) {
   // Everything at once: the coordinator is killed and resumed mid-campaign
   // WHILE workers ride scripted connection drops (including drops timed
@@ -376,13 +474,9 @@ TEST(Chaos, WorkerStopsOnCompleteWhenTheFinishedCoordinatorHangsUp) {
   // victim is still streaming. Records it never read turn the hang-up into
   // a reset, and the victim's next send fails. The victim must find the
   // buffered `complete` and stop, not go offline and spend its reconnect
-  // budget on a coordinator that is gone. Flat replay streams one record
-  // per run, in index order, so the hang-up lands mid-lease.
-  ExperimentOptions options;
-  options.executor.threads = 1;
-  options.replay_tree = false;
-  const Experiment experiment({sim::base_suite()[1]}, test_pipeline_config(),
-                              {}, options);
+  // budget on a coordinator that is gone. The lease's tails run and stream
+  // one record per run, in index order, so the hang-up lands mid-lease.
+  const Experiment experiment = make_experiment(1);
   const RandomValueModel model(100, 77);
   auto listener = std::make_unique<net::TcpListener>("127.0.0.1", 0);
   const std::uint16_t port = listener->port();

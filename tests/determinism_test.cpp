@@ -149,93 +149,34 @@ TEST(Determinism, BayesianSelectionIdenticalAcrossThreadCounts) {
                       catalog, experiment.goldens(), odd)));
 }
 
-Experiment make_experiment_forked(unsigned threads, std::size_t stride) {
-  ExperimentOptions options;
-  options.executor.threads = threads;
-  options.fork_replays = true;
-  options.checkpoint_stride = stride;
-  return Experiment(one_scenario_suite(), test_pipeline_config(), {}, options);
-}
-
-Experiment make_experiment_full(unsigned threads) {
-  ExperimentOptions options;
-  options.executor.threads = threads;
-  options.fork_replays = false;
-  return Experiment(one_scenario_suite(), test_pipeline_config(), {}, options);
-}
-
-TEST(Determinism, ForkedReplayBitIdenticalToFullReplay) {
-  // The fork-from-golden contract is absolute: checkpoint restore and
-  // golden-tail splicing change COST only, never results. CampaignStats
-  // must be bit-identical with forking on or off, at every checkpoint
-  // stride and thread count, for randomized faults over random injection
-  // times (value campaign) and instruction indices (bit-flip campaign).
-  const RandomValueModel values(8, 2024);
-  const BitFlipModel bitflips(6, 99, /*bits=*/2);
-
-  const Experiment full = make_experiment_full(1);
-  const std::string value_base = fingerprint(full.run(values));
-  const std::string bit_base = fingerprint(full.run(bitflips));
-
-  for (const std::size_t stride : {std::size_t{1}, std::size_t{4},
-                                   std::size_t{16}}) {
-    for (const unsigned threads : {1u, 2u, 8u}) {
-      const Experiment forked = make_experiment_forked(threads, stride);
-      EXPECT_EQ(value_base, fingerprint(forked.run(values)))
-          << "value campaign diverged at stride " << stride << ", "
-          << threads << " threads";
-      EXPECT_EQ(bit_base, fingerprint(forked.run(bitflips)))
-          << "bit-flip campaign diverged at stride " << stride << ", "
-          << threads << " threads";
-      EXPECT_GT(forked.forked_runs_executed(), 0u);
-    }
-  }
-}
-
-// scrub_wall_seconds (core/jsonl.h) drops the only legitimately non-
-// deterministic JSONL payload before byte comparisons.
-
-TEST(Determinism, ForkedJsonlByteEqualToFullJsonl) {
-  const RandomValueModel model(8, 77);
-
-  const auto jsonl_of = [&](const Experiment& experiment) {
-    std::ostringstream out;
-    JsonlSink sink(out);
-    std::vector<ResultSink*> sinks = {&sink};
-    experiment.run(model, sinks);
-    return scrub_wall_seconds(out.str());
-  };
-
-  const std::string base = jsonl_of(make_experiment_full(1));
-  EXPECT_FALSE(base.empty());
-  for (const std::size_t stride : {std::size_t{1}, std::size_t{4},
-                                   std::size_t{16}}) {
-    for (const unsigned threads : {1u, 2u, 8u}) {
-      EXPECT_EQ(base, jsonl_of(make_experiment_forked(threads, stride)))
-          << "JSONL diverged at stride " << stride << ", " << threads
-          << " threads";
-    }
-  }
-}
-
-TEST(Determinism, ReplayTreeBitIdenticalToFlatForkPath) {
-  // The replay-tree contract: trunk materialization, fork-at-divergence,
-  // densified splice candidates, and subtree scheduling change COST only.
-  // Fingerprints AND canonical JSONL must be byte-equal with the tree on
-  // or off, at every stride and thread count, over a multi-scenario suite
+TEST(Determinism, EveryEngineSettingMatchesTheFullReplayOracle) {
+  // The replay engine's contract: golden checkpoints, trunk snapshots,
+  // fork-at-divergence, golden-tail splicing, snapshot-budget pressure and
+  // scheduling change COST only. The oracle is the engine with both memory
+  // knobs at zero on one thread, where every run simulates its whole
+  // scenario. Fingerprints AND canonical JSONL must be byte-equal to it at
+  // every checkpoint stride, snapshot budget (0 = every tail restores its
+  // golden checkpoint, uncapped = every divergence snapshot resident) and
+  // thread count, for randomized value faults (random injection times) and
+  // bit flips (random instruction indices), over a multi-scenario suite
   // (several groups, so trunks and tails genuinely interleave).
   const auto all = sim::base_suite();
   const std::vector<sim::Scenario> suite(all.begin(), all.begin() + 3);
   const RandomValueModel values(18, 2024);
   const BitFlipModel bitflips(12, 99, /*bits=*/2);
+  const std::uint64_t runs = values.run_count() + bitflips.run_count();
+  const std::size_t uncapped = ExperimentOptions{}.max_live_snapshots;
 
-  const auto campaign = [&](bool tree, unsigned threads, std::size_t stride,
-                            const FaultModel& model) {
+  const auto engine = [&](std::size_t stride, std::size_t budget,
+                          unsigned threads) {
     ExperimentOptions options;
     options.executor.threads = threads;
     options.checkpoint_stride = stride;
-    options.replay_tree = tree;
-    const Experiment experiment(suite, test_pipeline_config(), {}, options);
+    options.max_live_snapshots = budget;
+    return Experiment(suite, test_pipeline_config(), {}, options);
+  };
+  const auto campaign = [](const Experiment& experiment,
+                           const FaultModel& model) {
     std::ostringstream out;
     JsonlSink sink(out);
     std::vector<ResultSink*> sinks = {&sink};
@@ -244,19 +185,41 @@ TEST(Determinism, ReplayTreeBitIdenticalToFlatForkPath) {
         fingerprint(stats), scrub_wall_seconds(out.str()));
   };
 
-  for (const FaultModel* model :
-       {static_cast<const FaultModel*>(&values),
-        static_cast<const FaultModel*>(&bitflips)}) {
-    const auto base = campaign(false, 1, 4, *model);
-    for (const std::size_t stride : {std::size_t{1}, std::size_t{4}}) {
+  obs::Counter& full = obs::metrics().counter("experiment.replays_full");
+  obs::Counter& forked = obs::metrics().counter("experiment.replays_forked");
+  const std::uint64_t full_before = full.value();
+  const std::uint64_t forked_before = forked.value();
+  const Experiment oracle = engine(0, 0, 1);
+  const auto value_base = campaign(oracle, values);
+  const auto bit_base = campaign(oracle, bitflips);
+  EXPECT_FALSE(value_base.second.empty());
+  EXPECT_EQ(full.value() - full_before, runs)
+      << "the oracle must simulate every run in full";
+  EXPECT_EQ(forked.value(), forked_before);
+
+  for (const std::size_t stride : {std::size_t{1}, std::size_t{4},
+                                   std::size_t{16}}) {
+    for (const std::size_t budget : {std::size_t{0}, uncapped}) {
       for (const unsigned threads : {1u, 2u, 8u}) {
-        const auto tree = campaign(true, threads, stride, *model);
-        EXPECT_EQ(base.first, tree.first)
-            << "stats diverged with the tree at stride " << stride << ", "
-            << threads << " threads";
-        EXPECT_EQ(base.second, tree.second)
-            << "JSONL diverged with the tree at stride " << stride << ", "
-            << threads << " threads";
+        const Experiment experiment = engine(stride, budget, threads);
+        const std::uint64_t forked_start = forked.value();
+        const auto value = campaign(experiment, values);
+        const auto bit = campaign(experiment, bitflips);
+        const std::string where =
+            "stride " + std::to_string(stride) + ", budget " +
+            (budget == 0 ? "0" : "uncapped") + ", " +
+            std::to_string(threads) + " threads";
+        EXPECT_EQ(value_base.first, value.first)
+            << "value campaign stats diverged at " << where;
+        EXPECT_EQ(value_base.second, value.second)
+            << "value campaign JSONL diverged at " << where;
+        EXPECT_EQ(bit_base.first, bit.first)
+            << "bit-flip campaign stats diverged at " << where;
+        EXPECT_EQ(bit_base.second, bit.second)
+            << "bit-flip campaign JSONL diverged at " << where;
+        EXPECT_EQ(forked.value() - forked_start, runs)
+            << "every run forks when golden checkpoints exist (" << where
+            << ")";
       }
     }
   }

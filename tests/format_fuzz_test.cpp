@@ -6,7 +6,8 @@
 // never UB -- the store-side sibling of net_test's FrameDecoder storm,
 // run under ASan/UBSan in CI), and the JSONL side (run-record lines, the
 // manifest parser, and the shared strict numeric parsers of core/jsonl.h)
-// under the same seeded mutation treatment.
+// under the same seeded mutation treatment, plus the campaign CLIs'
+// numeric flags, which validate through those parsers.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "../examples/campaign_cli.h"
 #include "core/binary_store.h"
 #include "core/jsonl.h"
 #include "core/manifest.h"
@@ -290,6 +292,32 @@ TEST(FormatFuzz, StrictNumericParsersShareOneDefinitionOfValid) {
     EXPECT_THROW(parse_bool_strict(bad, "t"), std::runtime_error)
         << "accepted \"" << bad << '"';
   }
+}
+
+TEST(FormatFuzz, CampaignCountFlagsAcceptOnlyDigits) {
+  // The campaign CLIs (examples/campaign_cli.h) parse every numeric flag
+  // with parse_u64_strict: a typo, a sign, an empty value or an overflow
+  // exits 2 naming the flag instead of silently becoming 0 (for
+  // --checkpoint-stride: no golden checkpoints) or SIZE_MAX.
+  campaign_cli::CampaignArgs args;
+  const auto parse = [&](const std::string& flag, const char* value) {
+    return campaign_cli::parse_campaign_flag(args, flag,
+                                             [value] { return value; });
+  };
+  EXPECT_TRUE(parse("--checkpoint-stride", "0"));
+  EXPECT_EQ(args.checkpoint_stride, 0u);
+  EXPECT_TRUE(parse("--max-live-snapshots", "0"));
+  EXPECT_EQ(args.max_live_snapshots, 0u);
+  for (const char* flag : {"--checkpoint-stride", "--max-live-snapshots",
+                           "--runs", "--seed", "--threads"}) {
+    for (const char* bad : {"x", "-1", ""}) {
+      EXPECT_EXIT(parse(flag, bad), ::testing::ExitedWithCode(2),
+                  std::string(flag) + " wants a non-negative integer")
+          << flag << " accepted \"" << bad << '"';
+    }
+  }
+  EXPECT_EXIT(parse("--threads", "4294967296"), ::testing::ExitedWithCode(2),
+              "--threads wants a non-negative integer up to 4294967295");
 }
 
 TEST(FormatFuzz, RunRecordLineMutationsParseOrThrow) {

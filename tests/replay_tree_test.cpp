@@ -1,9 +1,10 @@
 // Shared-prefix replay tree (core/replay_plan.h + core/replay_tree.h):
-// plan construction is a pure function of (model, indices, goldens); trunk
-// snapshots are bit-exact golden states (checked module by module against
-// an independent golden replay); the live-snapshot budget degrades cost,
-// never content; and a fleet worker killed mid-subtree leaves a campaign
-// that still merges byte-identical to the single-process run.
+// plan construction is a pure function of (model, indices, goldens) that
+// keeps each group's tails in run order; trunk snapshots are bit-exact
+// golden states (checked module by module against an independent golden
+// replay); the live-snapshot budget degrades cost, never content; and a
+// fleet worker killed mid-subtree leaves a campaign that still merges
+// byte-identical to the single-process run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -58,7 +59,7 @@ std::size_t scenario_of(const RunSpec& spec) {
                                             : spec.scenario_index;
 }
 
-TEST(ReplayPlan, GroupsByScenarioAndOrdersByDivergence) {
+TEST(ReplayPlan, GroupsByScenarioAndKeepsRunOrder) {
   const Experiment experiment = make_experiment(4);
   const RandomValueModel model(24, 555);
   const ReplayPlan plan =
@@ -69,6 +70,7 @@ TEST(ReplayPlan, GroupsByScenarioAndOrdersByDivergence) {
   std::set<std::size_t> order_pos_seen;
   std::size_t prev_scenario = GoldenTrace::kNoScene;
   std::size_t demand = 0;
+  bool divergence_out_of_order = false;
   for (const ReplayGroup& group : plan.groups) {
     // Ascending, unique scenarios.
     if (prev_scenario != GoldenTrace::kNoScene) {
@@ -78,25 +80,20 @@ TEST(ReplayPlan, GroupsByScenarioAndOrdersByDivergence) {
     ASSERT_FALSE(group.nodes.empty());
 
     const GoldenTrace& golden = experiment.goldens().at(group.scenario_index);
-    std::size_t prev_fork = 0;
-    std::size_t prev_pos = 0;
-    bool first = true;
     std::set<std::size_t> fork_scenes;
-    for (const ReplayNode& node : group.nodes) {
+    for (std::size_t k = 0; k < group.nodes.size(); ++k) {
+      const ReplayNode& node = group.nodes[k];
       ++nodes_seen;
       order_pos_seen.insert(node.order_pos);
       EXPECT_EQ(scenario_of(node.spec), group.scenario_index);
-      // Shallowest divergence first (kNoScene sorts last), order_pos
-      // breaking ties.
-      if (!first) {
-        EXPECT_GE(node.fork_scene, prev_fork);
-        if (node.fork_scene == prev_fork) {
-          EXPECT_GT(node.order_pos, prev_pos);
-        }
+      // Tails in run order, so the ordered emitter can release each
+      // group's records as they finish instead of holding them back until
+      // its lowest run index is done.
+      if (k > 0) {
+        EXPECT_GT(node.order_pos, group.nodes[k - 1].order_pos);
+        divergence_out_of_order |=
+            node.fork_scene < group.nodes[k - 1].fork_scene;
       }
-      first = false;
-      prev_fork = node.fork_scene;
-      prev_pos = node.order_pos;
 
       if (node.fork_scene == GoldenTrace::kNoScene) continue;
       fork_scenes.insert(node.fork_scene);
@@ -109,6 +106,7 @@ TEST(ReplayPlan, GroupsByScenarioAndOrdersByDivergence) {
                   node.spec.fault.inject_time);
       }
     }
+    // The trunk walk still gets its capture scenes sorted and unique.
     EXPECT_EQ(std::vector<std::size_t>(fork_scenes.begin(), fork_scenes.end()),
               group.capture_scenes);
     demand += group.capture_scenes.size();
@@ -116,12 +114,15 @@ TEST(ReplayPlan, GroupsByScenarioAndOrdersByDivergence) {
   EXPECT_EQ(nodes_seen, plan.total_nodes);
   EXPECT_EQ(order_pos_seen.size(), plan.total_nodes);  // a permutation
   EXPECT_EQ(demand, plan.snapshot_demand);
+  // Random injection times: run order is not divergence order, so the
+  // check above really tests that the plan does not sort by divergence.
+  EXPECT_TRUE(divergence_out_of_order);
 }
 
 TEST(ReplayPlan, SingleNodeGroupsDegradeToFlatFork) {
   // A trunk serving one tail amortizes nothing: a group with a single node
-  // must carry no capture scenes and mark its node kNoScene (the PR 4
-  // fork-from-golden-checkpoint path).
+  // must carry no capture scenes and mark its node kNoScene (it restores
+  // its golden checkpoint directly).
   const Experiment experiment = make_experiment(4);
   const RandomValueModel model(24, 555);
 
@@ -212,7 +213,7 @@ TEST(ReplayTree, TrunkSnapshotsBitEqualIndependentGoldenReplay) {
 TEST(ReplayTree, ForkAtDivergenceRecordEqualsFlatForkRecord) {
   // A tail forked from a trunk divergence snapshot (with the trunk's
   // snapshots as extra splice candidates) must produce the same record as
-  // the flat PR 4 path forking from the stride-aligned golden checkpoint.
+  // a replay forking from the stride-aligned golden checkpoint.
   const Experiment experiment = make_experiment(2);
   const RandomValueModel model(12, 555);
   const ReplayPlan plan =

@@ -17,6 +17,7 @@
 #include "core/trace.h"
 #include "hw/arch_state.h"
 #include "kinematics/bicycle.h"
+#include "obs/metrics.h"
 #include "runtime/channel.h"
 #include "runtime/scheduler.h"
 #include "sim/scenario.h"
@@ -408,16 +409,27 @@ void expect_results_bit_equal(const core::RunResult& a,
 TEST(Snapshot, SplicedReplayEqualsSimulatedReplay) {
   std::vector<sim::Scenario> suite = {sim::base_suite()[1]};
 
+  // No golden checkpoints: replays simulate their whole scenario.
   core::ExperimentOptions full_options;
-  full_options.fork_replays = false;
+  full_options.checkpoint_stride = 0;
   full_options.executor.threads = 1;
   const core::Experiment full(suite, pipeline_config(), {}, full_options);
 
   core::ExperimentOptions fork_options;
-  fork_options.fork_replays = true;
   fork_options.checkpoint_stride = 4;
   fork_options.executor.threads = 1;
   const core::Experiment forked(suite, pipeline_config(), {}, fork_options);
+
+  obs::Counter& forked_runs = obs::metrics().counter("experiment.replays_forked");
+  obs::Counter& full_runs = obs::metrics().counter("experiment.replays_full");
+  obs::Counter& spliced_runs =
+      obs::metrics().counter("experiment.replays_spliced");
+  obs::Histogram& run_wall =
+      obs::metrics().histogram("experiment.run_wall_seconds");
+  const std::uint64_t forked_before = forked_runs.value();
+  const std::uint64_t full_before = full_runs.value();
+  const std::uint64_t spliced_before = spliced_runs.value();
+  const double wall_before = run_wall.snapshot().sum_seconds;
 
   // A fault that perturbs the EKF: the faulty run forks from a checkpoint
   // but (tiny numerical divergence persists) simulates its whole tail.
@@ -429,7 +441,8 @@ TEST(Snapshot, SplicedReplayEqualsSimulatedReplay) {
   perturbing.value = 45.0;
   expect_results_bit_equal(full.replay_value_fault(perturbing, 1.0 / 30.0),
                            forked.replay_value_fault(perturbing, 1.0 / 30.0));
-  EXPECT_EQ(forked.forked_runs_executed(), 1u);
+  EXPECT_EQ(forked_runs.value() - forked_before, 1u);
+  EXPECT_EQ(full_runs.value() - full_before, 1u);
 
   // A bit-inert fault (writes the value the variable already holds): the
   // faulty state stays bit-equal to the golden, so once the hold window
@@ -446,9 +459,10 @@ TEST(Snapshot, SplicedReplayEqualsSimulatedReplay) {
   expect_results_bit_equal(a, b);
   EXPECT_EQ(a.outcome, core::Outcome::kMasked);
 
-  EXPECT_EQ(forked.forked_runs_executed(), 2u);
-  EXPECT_EQ(forked.spliced_runs_executed(), 1u);
-  EXPECT_GT(forked.mean_forked_run_wall_seconds(), 0.0);
+  EXPECT_EQ(forked_runs.value() - forked_before, 2u);
+  EXPECT_EQ(full_runs.value() - full_before, 2u);
+  EXPECT_EQ(spliced_runs.value() - spliced_before, 1u);
+  EXPECT_GT(run_wall.snapshot().sum_seconds, wall_before);
 }
 
 }  // namespace
