@@ -1,9 +1,9 @@
-// E11 (extension, DESIGN.md ablation 1/2 companion) -- exact vs
-// approximate posterior inference on the fitted ADS 3-TBN shape. The
-// paper's engine relies on "rapid probabilistic inference"; this bench
-// quantifies the design choice of an exact joint-Gaussian solver by
-// pitting it against likelihood weighting and Gibbs sampling on the same
-// query: accuracy (vs the exact mean) and wall-clock per query.
+// E11 (extension) -- exact vs approximate posterior inference on the
+// fitted ADS 3-TBN shape. The paper's engine relies on "rapid
+// probabilistic inference"; this bench quantifies the design choice of an
+// exact joint-Gaussian solver by pitting it against likelihood weighting
+// and Gibbs sampling on the same query: accuracy (vs the exact mean) and
+// wall-clock per query.
 #include <benchmark/benchmark.h>
 
 #include <cmath>

@@ -51,7 +51,8 @@ int main() {
 
   const core::SafetyPredictor predictor(goldens);
   const core::BayesianFaultSelector selector(predictor);
-  const core::SelectionResult selection = selector.select(catalog, goldens);
+  const core::SelectionResult selection =
+      selector.select_critical_faults(catalog, goldens);
 
   const double exhaustive_seconds =
       static_cast<double>(catalog.size()) * per_run_seconds;

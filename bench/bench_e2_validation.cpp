@@ -29,7 +29,8 @@ int main() {
   const core::BayesianFaultSelector selector(predictor);
   const auto catalog =
       core::build_catalog(suite, core::default_target_ranges(), 7.5);
-  const core::SelectionResult selection = selector.select(catalog, goldens);
+  const core::SelectionResult selection =
+      selector.select_critical_faults(catalog, goldens);
 
   std::printf("selected %zu critical faults out of %zu candidates\n",
               selection.critical.size(), selection.candidates_total);

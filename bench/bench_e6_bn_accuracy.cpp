@@ -1,8 +1,8 @@
 // E6 -- Counterfactual accuracy of the 3-TBN (paper Fig. 3/6, §III-B):
 // how well does M-hat_{t+1} from BN inference match the ground-truth
 // simulator, both fault-free and under interventions? Also runs the
-// do-vs-observe ablation (DESIGN.md ablation 3). Includes google-benchmark
-// timings of a single prediction.
+// do-vs-observe ablation. Includes google-benchmark timings of a single
+// prediction.
 #include <benchmark/benchmark.h>
 
 #include <cmath>

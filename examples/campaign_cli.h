@@ -6,6 +6,7 @@
 // refuse. One flag table, one builder, no drift.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -81,6 +82,49 @@ T parse_count(const std::string& flag, const char* text) {
                static_cast<unsigned long long>(std::numeric_limits<T>::max()),
                text);
   std::exit(2);
+}
+
+/// Parses a duration flag with core::parse_double_strict: a finite,
+/// non-negative number of seconds. Exits with status 2 naming the flag.
+inline double parse_seconds(const std::string& flag, const char* text) {
+  try {
+    const double value = drivefi::core::parse_double_strict(text, flag);
+    if (std::isfinite(value) && value >= 0.0) return value;
+  } catch (const std::runtime_error&) {
+    // Reported below, like a negative or non-finite value.
+  }
+  std::fprintf(stderr,
+               "error: %s wants a finite, non-negative number of seconds, "
+               "got \"%s\"\n",
+               flag.c_str(), text);
+  std::exit(2);
+}
+
+/// A --shard i/N selection: this process runs indices r with r % N == i.
+struct Shard {
+  std::size_t index = 0;
+  std::size_t count = 1;
+};
+
+/// Parses "i/N" with parse_count on both halves and requires i < N. Exits
+/// with status 2 naming the flag.
+inline Shard parse_shard(const std::string& flag, const char* text) {
+  const std::string value = text;
+  const std::size_t slash = value.find('/');
+  if (slash == std::string::npos) {
+    std::fprintf(stderr, "error: %s wants i/N, got \"%s\"\n", flag.c_str(),
+                 text);
+    std::exit(2);
+  }
+  Shard shard;
+  shard.index = parse_count<std::size_t>(flag, value.substr(0, slash).c_str());
+  shard.count = parse_count<std::size_t>(flag, value.c_str() + slash + 1);
+  if (shard.index >= shard.count) {
+    std::fprintf(stderr, "error: %s %zu/%zu is out of range (wants i < N)\n",
+                 flag.c_str(), shard.index, shard.count);
+    std::exit(2);
+  }
+  return shard;
 }
 
 /// Consumes one campaign flag; returns false when `arg` is not a campaign
@@ -187,17 +231,19 @@ inline CampaignSetup build_campaign(const CampaignArgs& a, bool quiet) {
   return setup;
 }
 
-/// Parses "host:port" (port required). Exits with status 2 on malformed
-/// input.
-inline void parse_host_port(const std::string& value, std::string* host,
-                            std::uint16_t* port) {
+/// Parses "host:port" for `flag`; the port goes through parse_count, so it
+/// must be 0-65535 (`--listen HOST:0` binds an ephemeral port). Exits with
+/// status 2 on malformed input.
+inline void parse_host_port(const std::string& flag, const std::string& value,
+                            std::string* host, std::uint16_t* port) {
   const std::size_t colon = value.rfind(':');
-  if (colon == std::string::npos || colon + 1 >= value.size()) {
-    std::fprintf(stderr, "error: expected HOST:PORT, got %s\n", value.c_str());
+  if (colon == std::string::npos) {
+    std::fprintf(stderr, "error: %s wants HOST:PORT, got \"%s\"\n",
+                 flag.c_str(), value.c_str());
     std::exit(2);
   }
   *host = value.substr(0, colon);
-  *port = static_cast<std::uint16_t>(std::atoi(value.c_str() + colon + 1));
+  *port = parse_count<std::uint16_t>(flag, value.c_str() + colon + 1);
 }
 
 }  // namespace campaign_cli

@@ -1,7 +1,7 @@
 // drivefi_campaign: the unified campaign CLI -- one entry point for
 // running, sharding, resuming, merging, and fleet-working fault-injection
-// campaigns, subsuming the per-example flag sprawl of mine_critical_faults
-// and random_vs_bayesian.
+// campaigns (`run --model bayesian` is the paper's whole golden -> fit ->
+// select -> replay loop).
 //
 //   drivefi_campaign run [campaign options] [run options]
 //     (campaign options: see campaign_cli.h / docs/FORMATS.md)
@@ -113,7 +113,7 @@ int cmd_run(int argc, char** argv) {
   core::StoreFormat store_format = core::StoreFormat::kJsonl;
   std::string metrics_out, trace_out;
   double metrics_interval = 1.0;
-  std::size_t shard_index = 0, shard_count = 1;
+  campaign_cli::Shard shard;
   bool resume = false;
   bool overwrite = false;
   bool progress = false;
@@ -135,23 +135,11 @@ int cmd_run(int argc, char** argv) {
     else if (arg == "--overwrite") overwrite = true;
     else if (arg == "--progress") progress = true;
     else if (arg == "--metrics-out") metrics_out = next();
-    else if (arg == "--metrics-interval") metrics_interval = std::atof(next());
+    else if (arg == "--metrics-interval")
+      metrics_interval = campaign_cli::parse_seconds(arg, next());
     else if (arg == "--trace-out") trace_out = next();
-    else if (arg == "--shard") {
-      const std::string value = next();
-      const std::size_t slash = value.find('/');
-      if (slash == std::string::npos) {
-        std::fprintf(stderr, "error: --shard wants i/N, got %s\n", value.c_str());
-        return 2;
-      }
-      shard_index = static_cast<std::size_t>(std::atoll(value.substr(0, slash).c_str()));
-      shard_count = static_cast<std::size_t>(std::atoll(value.substr(slash + 1).c_str()));
-      if (shard_count == 0 || shard_index >= shard_count) {
-        std::fprintf(stderr, "error: --shard %zu/%zu is out of range\n",
-                     shard_index, shard_count);
-        return 2;
-      }
-    } else {
+    else if (arg == "--shard") shard = campaign_cli::parse_shard(arg, next());
+    else {
       std::fprintf(stderr, "error: unknown option %s\n", arg.c_str());
       return 2;
     }
@@ -163,7 +151,7 @@ int cmd_run(int argc, char** argv) {
   }
   if (store_path.empty())
     store_path =
-        "campaign.shard" + std::to_string(shard_index) +
+        "campaign.shard" + std::to_string(shard.index) +
         (store_format == core::StoreFormat::kBinary ? ".bin" : ".jsonl");
   // Pre-flight the clobber refusal BEFORE the golden precompute (and, for
   // --model bayesian, the fit + selection): a forgotten --resume should
@@ -190,8 +178,8 @@ int cmd_run(int argc, char** argv) {
   // -- manifest + durable shard store ---------------------------------------
   core::CampaignManifest manifest = core::make_manifest(
       *setup.experiment, *setup.model, setup.scenario_spec);
-  manifest.shard_index = shard_index;
-  manifest.shard_count = shard_count;
+  manifest.shard_index = shard.index;
+  manifest.shard_count = shard.count;
 
   const core::StoreOpenMode mode = resume ? core::StoreOpenMode::kResume
                                  : overwrite ? core::StoreOpenMode::kOverwrite
@@ -208,8 +196,8 @@ int cmd_run(int argc, char** argv) {
     std::printf("resuming %s: %zu of this shard's runs already stored\n",
                 store_path.c_str(), already);
 
-  std::printf("shard %zu/%zu of %zu planned runs -> %s (%s)\n", shard_index,
-              shard_count, manifest.planned_runs, store_path.c_str(),
+  std::printf("shard %zu/%zu of %zu planned runs -> %s (%s)\n", shard.index,
+              shard.count, manifest.planned_runs, store_path.c_str(),
               core::store_format_name(store_format));
   core::ProgressSink progress_sink(std::cerr);
   std::vector<core::ResultSink*> sinks;
@@ -234,7 +222,7 @@ int cmd_run(int argc, char** argv) {
   core::outcome_table(stats).print("shard outcomes (this sitting)");
   std::printf("executed %zu runs in %.2f s; store now holds %zu records\n",
               stats.total(), stats.wall_seconds, store.completed().size());
-  if (shard_count > 1)
+  if (shard.count > 1)
     std::printf("merge when all shards are done:\n  drivefi_campaign merge "
                 "--jsonl campaign.jsonl <shard files>\n");
   else
@@ -259,7 +247,7 @@ int cmd_worker(int argc, char** argv) {
     };
     if (campaign_cli::parse_campaign_flag(args, arg, next)) continue;
     if (arg == "--connect") {
-      campaign_cli::parse_host_port(next(), &config.host, &config.port);
+      campaign_cli::parse_host_port(arg, next(), &config.host, &config.port);
       have_connect = true;
     } else if (arg == "--store") config.store_path = next();
     else if (arg == "--store-format")
@@ -267,11 +255,11 @@ int cmd_worker(int argc, char** argv) {
     else if (arg == "--name") config.name = next();
     else if (arg == "--reconnect-max-attempts")
       config.reconnect_max_attempts =
-          static_cast<std::size_t>(std::atoll(next()));
+          campaign_cli::parse_count<std::size_t>(arg, next());
     else if (arg == "--reconnect-base-delay")
-      config.reconnect_base_delay = std::atof(next());
+      config.reconnect_base_delay = campaign_cli::parse_seconds(arg, next());
     else if (arg == "--reconnect-max-delay")
-      config.reconnect_max_delay = std::atof(next());
+      config.reconnect_max_delay = campaign_cli::parse_seconds(arg, next());
     else {
       std::fprintf(stderr, "error: unknown option %s\n", arg.c_str());
       return 2;
@@ -313,7 +301,7 @@ int cmd_status(int argc, char** argv) {
         std::fprintf(stderr, "error: --connect needs a value\n");
         return 2;
       }
-      campaign_cli::parse_host_port(argv[++i], &host, &port);
+      campaign_cli::parse_host_port(arg, argv[++i], &host, &port);
       have_connect = true;
     } else if (arg == "--json") {
       raw_json = true;

@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
     };
     if (campaign_cli::parse_campaign_flag(args, arg, next)) continue;
     if (arg == "--listen")
-      campaign_cli::parse_host_port(next(), &config.host, &config.port);
+      campaign_cli::parse_host_port(arg, next(), &config.host, &config.port);
     else if (arg == "--port-file") port_file = next();
     else if (arg == "--store") store_path = next();
     else if (arg == "--store-format")
@@ -82,14 +82,15 @@ int main(int argc, char** argv) {
     else if (arg == "--resume") resume = true;
     else if (arg == "--overwrite") overwrite = true;
     else if (arg == "--lease-runs")
-      config.lease_runs = static_cast<std::size_t>(std::atoll(next()));
+      config.lease_runs = campaign_cli::parse_count<std::size_t>(arg, next());
     else if (arg == "--heartbeat-timeout")
-      config.heartbeat_timeout = std::atof(next());
+      config.heartbeat_timeout = campaign_cli::parse_seconds(arg, next());
     else if (arg == "--jsonl") jsonl_path = next();
     else if (arg == "--quiet") quiet = true;
     else if (arg == "--metrics-out") config.metrics_out = next();
     else if (arg == "--metrics-interval")
-      config.metrics_interval_seconds = std::atof(next());
+      config.metrics_interval_seconds =
+          campaign_cli::parse_seconds(arg, next());
     else if (arg == "--trace-out") trace_out = next();
     else {
       std::fprintf(stderr, "error: unknown option %s\n", arg.c_str());

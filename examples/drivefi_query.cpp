@@ -32,9 +32,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/jsonl.h"
 #include "core/query.h"
 #include "core/report.h"
 #include "util/table.h"
@@ -200,7 +202,15 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--run") {
-      run_index = static_cast<std::size_t>(std::atoll(next()));
+      const char* value = next();
+      try {
+        run_index = core::parse_u64_strict(value, arg);
+      } catch (const std::runtime_error&) {
+        std::fprintf(stderr,
+                     "error: --run wants a non-negative integer, got \"%s\"\n",
+                     value);
+        return 2;
+      }
       have_run = true;
     } else if (arg == "--jsonl") {
       jsonl_path = next();

@@ -24,11 +24,6 @@ bool Dag::add_edge(NodeId parent, NodeId child) {
   return true;
 }
 
-void Dag::remove_edge(NodeId parent, NodeId child) {
-  auto& p = parents_[child];
-  p.erase(std::remove(p.begin(), p.end(), parent), p.end());
-}
-
 void Dag::sever_parents(NodeId node) { parents_[node].clear(); }
 
 std::optional<NodeId> Dag::find(const std::string& name) const {
@@ -90,28 +85,6 @@ bool Dag::reaches(NodeId from, NodeId to) const {
     }
   }
   return false;
-}
-
-std::vector<bool> Dag::ancestral_mask(const std::vector<NodeId>& nodes) const {
-  std::vector<bool> mask(node_count(), false);
-  std::deque<NodeId> frontier;
-  for (NodeId n : nodes) {
-    if (!mask[n]) {
-      mask[n] = true;
-      frontier.push_back(n);
-    }
-  }
-  while (!frontier.empty()) {
-    const NodeId cur = frontier.front();
-    frontier.pop_front();
-    for (NodeId p : parents_[cur]) {
-      if (!mask[p]) {
-        mask[p] = true;
-        frontier.push_back(p);
-      }
-    }
-  }
-  return mask;
 }
 
 }  // namespace drivefi::bn

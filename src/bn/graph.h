@@ -1,5 +1,5 @@
-// Directed acyclic graph with named nodes; the structural backbone shared
-// by the linear-Gaussian and discrete Bayesian networks.
+// Directed acyclic graph with named nodes; the structural backbone of the
+// linear-Gaussian Bayesian network.
 #pragma once
 
 #include <cstddef>
@@ -20,7 +20,6 @@ class Dag {
   // Adds edge parent -> child. Rejects (returns false) if it would create
   // a cycle or duplicate an existing edge.
   bool add_edge(NodeId parent, NodeId child);
-  void remove_edge(NodeId parent, NodeId child);
 
   // Severs all incoming edges of `node`; this is the graph surgery behind
   // Pearl's do-operator (paper §II-C: "removes statistical conditional
@@ -39,12 +38,8 @@ class Dag {
   // maintained by add_edge, so this always succeeds.
   std::vector<NodeId> topological_order() const;
 
-  // Reachability along directed edges (used by tests and by d-separation
-  // style diagnostics).
+  // Reachability along directed edges.
   bool reaches(NodeId from, NodeId to) const;
-
-  // Ancestors of a set of nodes, including the nodes themselves.
-  std::vector<bool> ancestral_mask(const std::vector<NodeId>& nodes) const;
 
  private:
   std::vector<std::string> names_;

@@ -277,11 +277,11 @@ std::vector<double> SafetyPredictor::infer_exact(
   }
 
   if (value.has_value()) {
-    // Observational ablation (DESIGN.md ablation 3): the naive approach
-    // conditions on the corrupted value together with the FULL golden
-    // evidence of the injection window -- including the downstream nodes
-    // whose golden values reflect the un-faulted world and therefore
-    // pull the posterior back toward "nothing happened".
+    // Observational ablation: the naive approach conditions on the
+    // corrupted value together with the FULL golden evidence of the
+    // injection window -- including the downstream nodes whose golden
+    // values reflect the un-faulted world and therefore pull the posterior
+    // back toward "nothing happened".
     for (int s = 1; s <= slices - 2; ++s) {
       const auto& scene =
           trace.scenes[scene_index + static_cast<std::size_t>(s - 1)];

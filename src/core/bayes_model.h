@@ -115,7 +115,7 @@ class SafetyPredictor {
 
   /// Ablation: naive conditioning instead of do() -- observes the corrupted
   /// value rather than intervening (demonstrates why causal surgery
-  /// matters; see DESIGN.md ablation 3).
+  /// matters; the E6 bench reports both).
   std::optional<DeltaPrediction> predict_observational(
       const GoldenTrace& trace, std::size_t scene_index,
       const std::string& variable, double value,

@@ -38,8 +38,11 @@ struct RunResult {
 };
 
 struct ClassifierConfig {
-  /// Actuation divergence below this is considered masked (sensor noise
-  /// reordering makes bit-identical replay impossible).
+  /// A run with no hazard and no hang is masked when its largest actuation
+  /// divergence from golden (throttle, brake or steer units) stays at or
+  /// below this, and SDC-benign above it. Replay is bit-identical, so a
+  /// fault with no effect diverges by exactly 0; the threshold sets how
+  /// large a deviation must be to count as observable.
   double actuation_epsilon = 0.05;
   /// A scene counts as delta-violated only if the golden run was safe at
   /// the same scene (fault must CAUSE the violation -- eq. (1)).

@@ -11,18 +11,6 @@ namespace drivefi::core {
 
 namespace {
 
-// Quotes a CSV field (descriptions contain spaces and '='; quoting
-// unconditionally keeps the format trivial to parse).
-std::string csv_quote(const std::string& field) {
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 // A sink that silently drops records turns a full disk into a truncated
 // campaign nobody notices until the analysis stage; surface the stream
 // error at the write that hit it instead.
@@ -34,28 +22,6 @@ void check(const std::ostream& out, const char* sink) {
 }
 
 }  // namespace
-
-void CsvSink::begin(const CampaignMeta& meta) {
-  (void)meta;
-  out_ << "run_index,description,scenario_index,scene_index,outcome,"
-          "min_delta_lon,max_actuation_divergence\n";
-  check(out_, "CsvSink");
-}
-
-void CsvSink::consume(const InjectionRecord& record) {
-  out_ << record.run_index << ',' << csv_quote(record.description) << ','
-       << record.scenario_index << ',' << record.scene_index << ','
-       << outcome_name(record.outcome) << ',' << std::setprecision(17)
-       << record.min_delta_lon << ',' << record.max_actuation_divergence
-       << '\n';
-  check(out_, "CsvSink");
-}
-
-void CsvSink::finish(const CampaignStats& stats) {
-  (void)stats;
-  out_.flush();
-  check(out_, "CsvSink");
-}
 
 void JsonlSink::begin(const CampaignMeta& meta) {
   out_ << "{\"type\":\"campaign\",\"model\":\"" << json_escape(meta.model_name)

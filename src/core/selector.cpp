@@ -92,13 +92,8 @@ SelectionResult BayesianFaultSelector::select_critical_faults(
 
       const double bn_value = fault_value_to_bn_value(fault, map_it->second);
       PredictSkip skip = PredictSkip::kNone;
-      const auto prediction =
-          options.observational
-              ? predictor_.predict_observational(trace, fault.scene_index,
-                                                 map_it->second, bn_value,
-                                                 &skip)
-              : predictor_.predict(trace, fault.scene_index, map_it->second,
-                                   bn_value, &skip);
+      const auto prediction = predictor_.predict(
+          trace, fault.scene_index, map_it->second, bn_value, &skip);
       if (!prediction) {
         if (skip == PredictSkip::kNoLead)
           ++out.no_lead;
@@ -151,14 +146,6 @@ SelectionResult BayesianFaultSelector::select_critical_faults(
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   return result;
-}
-
-SelectionResult BayesianFaultSelector::select(
-    const FaultCatalog& catalog, const std::vector<GoldenTrace>& traces,
-    bool observational) const {
-  SelectionOptions options;
-  options.observational = observational;
-  return select_critical_faults(catalog, traces, options);
 }
 
 }  // namespace drivefi::core

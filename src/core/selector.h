@@ -55,9 +55,8 @@ struct SelectionResult {
 
 /// Options for the parallel catalog sweep.
 struct SelectionOptions {
-  bool observational = false;  // no-do ablation (naive conditioning)
-  ExecutorConfig executor;     // thread pool; 0 = all hardware threads
-  std::size_t chunk = 256;     // candidates per work unit
+  ExecutorConfig executor;  // thread pool; 0 = all hardware threads
+  std::size_t chunk = 256;  // candidates per work unit
 };
 
 /// Mapping from FaultRegistry target names to BN variables. Targets with no
@@ -84,12 +83,6 @@ class BayesianFaultSelector {
   SelectionResult select_critical_faults(
       const FaultCatalog& catalog, const std::vector<GoldenTrace>& traces,
       const SelectionOptions& options = {}) const;
-
-  /// Historical entry point; delegates to select_critical_faults with the
-  /// default (all-hardware-threads) options.
-  SelectionResult select(const FaultCatalog& catalog,
-                         const std::vector<GoldenTrace>& traces,
-                         bool observational = false) const;
 
  private:
   const SafetyPredictor& predictor_;

@@ -24,18 +24,11 @@ struct StoppingDistance {
 // reduced system (6) from the initial kinematic state. Implemented with RK4
 // at the given step size.
 //
-// Deviation from eq. (5), documented in DESIGN.md: the paper freezes the
-// steering angle during the stop (dphi/dt = 0). With that choice, ANY
-// nonzero steering angle or heading error at highway speed integrates
-// into a lateral displacement far beyond the lane margin, so every
-// realistically noisy scene reads as laterally unsafe. We instead model
-// the stop the way a production AEB executes it -- braking with lane-hold
-// steering: the actuator slews (at steering_release_rate, rad/s) toward a
-// command that decays the heading error, under a combined-slip friction
-// cap. A genuine fault-induced heading excursion still produces a large
-// lateral displacement before the hold catches it -- exactly the lateral
-// hazard -- while sensor-noise wiggle does not. Pass
-// steering_release_rate = 0 for the paper-pure frozen-steering variant.
+// Deviation from eq. (5): the stop brakes with lane-hold steering (the
+// actuator slews at steering_release_rate, rad/s, toward a command that
+// decays the heading error) instead of the paper's frozen steering; see
+// docs/ARCHITECTURE.md, "Procedure P steers to hold the lane", for why.
+// Pass steering_release_rate = 0 for the paper-pure frozen-steering variant.
 StoppingDistance stopping_distance(double amax, double v0, double theta0,
                                    double phi0, double wheelbase,
                                    double dt = 5e-3,

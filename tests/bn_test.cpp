@@ -1,13 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
 
 #include "bn/compiled.h"
 #include "bn/dbn.h"
-#include "bn/discrete.h"
-#include "bn/dsep.h"
 #include "bn/fit.h"
 #include "bn/gaussian.h"
 #include "bn/graph.h"
@@ -71,21 +68,6 @@ TEST(Dag, SeverParentsImplementsDoSurgery) {
   dag.sever_parents(b);
   EXPECT_TRUE(dag.parents(b).empty());
   EXPECT_FALSE(dag.reaches(a, b));
-}
-
-TEST(Dag, AncestralMask) {
-  Dag dag;
-  const NodeId a = dag.add_node("a");
-  const NodeId b = dag.add_node("b");
-  const NodeId c = dag.add_node("c");
-  const NodeId d = dag.add_node("d");
-  dag.add_edge(a, b);
-  dag.add_edge(b, c);
-  const auto mask = dag.ancestral_mask({c});
-  EXPECT_TRUE(mask[a]);
-  EXPECT_TRUE(mask[b]);
-  EXPECT_TRUE(mask[c]);
-  EXPECT_FALSE(mask[d]);
 }
 
 // ---------- MultivariateGaussian ----------
@@ -240,6 +222,21 @@ TEST(LinearGaussian, DoPosteriorMeanHandComputedThreeNode) {
   EXPECT_NEAR(observed[0], 3.0, 1e-10);
 }
 
+// Nodes with no path from the intervention site keep their posterior
+// mean; nodes downstream of it move.
+TEST(LinearGaussian, InterventionOnlyMovesDConnectedNodes) {
+  LinearGaussianNetwork net;
+  net.add_node("a", {}, {}, 0.0, 1.0);
+  net.add_node("b", {"a"}, {0.7}, 0.0, 0.5);
+  net.add_node("c", {"b"}, {0.9}, 0.0, 0.5);
+  net.add_node("d", {}, {}, 2.0, 1.0);  // disconnected from a/b/c
+
+  const auto base = net.posterior_mean({}, {"c", "d"});
+  const auto after = net.do_posterior_mean({{"b", 3.0}}, {}, {"c", "d"});
+  EXPECT_NE(after[0], base[0]);             // c is downstream of do(b)
+  EXPECT_DOUBLE_EQ(after[1], base[1]);      // d is d-separated
+}
+
 // ---------- Fitting ----------
 
 TEST(Fit, RecoversSyntheticCoefficients) {
@@ -383,178 +380,6 @@ TEST(Dbn, FitAndPredictAr1) {
   const auto& cpd = net.cpd(net.id("v@1"));
   ASSERT_EQ(cpd.weights.size(), 1u);
   EXPECT_NEAR(cpd.weights[0], 0.9, 0.03);
-}
-
-// ---------- Discrete network ----------
-
-// Classic sprinkler-ish network for exact hand-checked inference:
-// rain ~ Bernoulli(0.2); sprinkler | rain; wet | rain, sprinkler.
-DiscreteNetwork sprinkler() {
-  DiscreteNetwork net;
-  net.add_node("rain", 2, {}, {0.8, 0.2});
-  net.add_node("sprinkler", 2, {"rain"}, {0.6, 0.4, 0.99, 0.01});
-  net.add_node("wet", 2, {"rain", "sprinkler"},
-               {
-                   0.99, 0.01,  // rain=0, sprinkler=0
-                   0.1, 0.9,    // rain=0, sprinkler=1
-                   0.2, 0.8,    // rain=1, sprinkler=0
-                   0.01, 0.99,  // rain=1, sprinkler=1
-               });
-  return net;
-}
-
-TEST(Discrete, PriorMarginal) {
-  const auto net = sprinkler();
-  const auto p = net.posterior({}, "rain");
-  EXPECT_NEAR(p[1], 0.2, 1e-10);
-}
-
-TEST(Discrete, PosteriorByEnumerationCheck) {
-  const auto net = sprinkler();
-  // P(rain=1 | wet=1) by hand enumeration:
-  // P(wet=1, rain) = sum_s P(rain) P(s|rain) P(wet=1|rain,s).
-  const double p_wet_rain1 = 0.2 * (0.99 * 0.8 + 0.01 * 0.99);
-  const double p_wet_rain0 = 0.8 * (0.6 * 0.01 + 0.4 * 0.9);
-  const double expected = p_wet_rain1 / (p_wet_rain1 + p_wet_rain0);
-  const auto p = net.posterior({{"wet", 1}}, "rain");
-  EXPECT_NEAR(p[1], expected, 1e-9);
-}
-
-TEST(Discrete, DoVsObserveOnSprinkler) {
-  const auto net = sprinkler();
-  // Observing sprinkler=1 lowers belief in rain (explaining away through
-  // the prior link rain -> sprinkler); intervening must not.
-  const auto observed = net.posterior({{"sprinkler", 1}}, "rain");
-  EXPECT_LT(observed[1], 0.2);
-  const auto mutilated = net.intervene("sprinkler", 1);
-  const auto intervened = mutilated.posterior({{"sprinkler", 1}}, "rain");
-  EXPECT_NEAR(intervened[1], 0.2, 1e-9);
-}
-
-TEST(Discrete, MapEstimate) {
-  const auto net = sprinkler();
-  EXPECT_EQ(net.map_estimate({}, "rain"), 0u);
-  EXPECT_EQ(net.map_estimate({{"rain", 1}}, "wet"), 1u);
-}
-
-TEST(Discrete, SamplingMatchesMarginals) {
-  const auto net = sprinkler();
-  util::Rng rng(13);
-  int rain_count = 0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) {
-    const auto values = net.sample(rng);
-    rain_count += values[0];
-  }
-  EXPECT_NEAR(rain_count / static_cast<double>(n), 0.2, 0.01);
-}
-
-TEST(Discretizer, EncodeDecodeRoundTrip) {
-  Discretizer d(10, 0.0, 100.0);
-  EXPECT_EQ(d.encode(5.0), 0u);
-  EXPECT_EQ(d.encode(95.0), 9u);
-  EXPECT_EQ(d.encode(-50.0), 0u);   // clamps
-  EXPECT_EQ(d.encode(500.0), 9u);   // clamps
-  EXPECT_NEAR(d.decode(d.encode(47.0)), 45.0, 1e-12);  // bin center
-}
-
-// ---------- d-separation ----------
-
-// Chain a -> b -> c, fork b -> d, collider (a, d) -> e.
-Dag dsep_fixture() {
-  Dag dag;
-  const NodeId a = dag.add_node("a");
-  const NodeId b = dag.add_node("b");
-  const NodeId c = dag.add_node("c");
-  const NodeId d = dag.add_node("d");
-  const NodeId e = dag.add_node("e");
-  dag.add_edge(a, b);
-  dag.add_edge(b, c);
-  dag.add_edge(b, d);
-  dag.add_edge(a, e);
-  dag.add_edge(d, e);
-  return dag;
-}
-
-TEST(Dsep, ChainBlockedByMiddleNode) {
-  const Dag dag = dsep_fixture();
-  EXPECT_FALSE(d_separated(dag, *dag.find("a"), *dag.find("c"), {}));
-  EXPECT_TRUE(d_separated(dag, *dag.find("a"), *dag.find("c"),
-                          {*dag.find("b")}));
-}
-
-TEST(Dsep, ForkBlockedByCommonCause) {
-  const Dag dag = dsep_fixture();
-  // c <- b -> d: dependent marginally, independent given b.
-  EXPECT_FALSE(d_separated(dag, *dag.find("c"), *dag.find("d"), {}));
-  EXPECT_TRUE(d_separated(dag, *dag.find("c"), *dag.find("d"),
-                          {*dag.find("b")}));
-}
-
-TEST(Dsep, ColliderOpensWhenObserved) {
-  Dag dag;
-  const NodeId x = dag.add_node("x");
-  const NodeId y = dag.add_node("y");
-  const NodeId z = dag.add_node("z");
-  const NodeId w = dag.add_node("w");
-  dag.add_edge(x, z);
-  dag.add_edge(y, z);
-  dag.add_edge(z, w);
-  // x and y are marginally independent...
-  EXPECT_TRUE(d_separated(dag, x, y, {}));
-  // ...but dependent given the collider or any of its descendants.
-  EXPECT_FALSE(d_separated(dag, x, y, {z}));
-  EXPECT_FALSE(d_separated(dag, x, y, {w}));
-}
-
-TEST(Dsep, MarkovBlanketShieldsNode) {
-  const Dag dag = dsep_fixture();
-  // blanket(b) = {a (parent), c, d (children)}; e is a child's child --
-  // via d -> e, e's other parent a is already in as b's parent.
-  const auto blanket = markov_blanket(dag, *dag.find("b"));
-  std::vector<NodeId> expect = {*dag.find("a"), *dag.find("c"),
-                                *dag.find("d")};
-  EXPECT_EQ(blanket, expect);
-  // Conditioned on its blanket, b is d-separated from everything else.
-  EXPECT_TRUE(d_separated(dag, *dag.find("b"), *dag.find("e"), blanket));
-}
-
-TEST(Dsep, MarkovBlanketIncludesCoparents) {
-  const Dag dag = dsep_fixture();
-  // blanket(d) = {b (parent), e (child), a (e's other parent)}.
-  const auto blanket = markov_blanket(dag, *dag.find("d"));
-  std::vector<NodeId> expect = {*dag.find("a"), *dag.find("b"),
-                                *dag.find("e")};
-  EXPECT_EQ(blanket, expect);
-}
-
-TEST(Dsep, DConnectedSetMatchesPairwiseQueries) {
-  const Dag dag = dsep_fixture();
-  const std::vector<NodeId> given = {*dag.find("b")};
-  const auto connected = d_connected_set(dag, *dag.find("a"), given);
-  for (NodeId n = 0; n < dag.node_count(); ++n) {
-    if (n == *dag.find("a") || n == given[0]) continue;
-    const bool in_set =
-        std::find(connected.begin(), connected.end(), n) != connected.end();
-    EXPECT_EQ(in_set, !d_separated(dag, *dag.find("a"), n, given))
-        << dag.name(n);
-  }
-}
-
-TEST(Dsep, InterventionOnlyMovesDConnectedNodes) {
-  // Structural check tying d-separation to the do-operator: in the
-  // mutilated graph, nodes d-separated from the intervention site given
-  // the evidence set keep their posterior mean.
-  LinearGaussianNetwork net;
-  net.add_node("a", {}, {}, 0.0, 1.0);
-  net.add_node("b", {"a"}, {0.7}, 0.0, 0.5);
-  net.add_node("c", {"b"}, {0.9}, 0.0, 0.5);
-  net.add_node("d", {}, {}, 2.0, 1.0);  // disconnected from a/b/c
-
-  const auto base = net.posterior_mean({}, {"c", "d"});
-  const auto after = net.do_posterior_mean({{"b", 3.0}}, {}, {"c", "d"});
-  EXPECT_NE(after[0], base[0]);             // c is downstream of do(b)
-  EXPECT_DOUBLE_EQ(after[1], base[1]);      // d is d-separated
 }
 
 // ---------- Approximate inference (sampling) ----------

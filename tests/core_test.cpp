@@ -468,7 +468,8 @@ TEST(MiniCampaign, EndToEndSelectorAndValidation) {
 
   const auto catalog =
       build_catalog(scenarios, default_target_ranges(), 7.5);
-  const SelectionResult selection = selector.select(catalog, goldens);
+  const SelectionResult selection =
+      selector.select_critical_faults(catalog, goldens);
   EXPECT_GT(selection.candidates_evaluated, 100u);
   EXPECT_EQ(selection.candidates_total, catalog.size());
 
@@ -494,7 +495,8 @@ TEST(Selector, SkipReasonAccountingIsExhaustive) {
 
   const auto catalog =
       build_catalog(scenarios, default_target_ranges(), 7.5);
-  const SelectionResult selection = selector.select(catalog, goldens);
+  const SelectionResult selection =
+      selector.select_critical_faults(catalog, goldens);
 
   // Every candidate lands in exactly one bucket.
   EXPECT_EQ(selection.candidates_total, catalog.size());
@@ -596,27 +598,30 @@ TEST(Campaign, SinksSeeEveryRecordInOrder) {
   Experiment experiment(scenarios, test_pipeline_config());
 
   StatsSink stats_sink;
-  std::ostringstream csv;
-  CsvSink csv_sink(csv);
   std::ostringstream jsonl;
   JsonlSink jsonl_sink(jsonl);
-  const CampaignStats stats = experiment.run(
-      RandomValueModel(5, 321), {&stats_sink, &csv_sink, &jsonl_sink});
+  const CampaignStats stats =
+      experiment.run(RandomValueModel(5, 321), {&stats_sink, &jsonl_sink});
 
   EXPECT_EQ(stats_sink.stats().total(), stats.total());
   EXPECT_EQ(stats_sink.stats().hazard, stats.hazard);
 
-  // CSV: header + one row per record.
-  std::size_t lines = 0;
+  // JSONL: campaign header, then exactly one run line per record in
+  // ascending run_index, then the summary.
+  std::vector<std::string> lines;
   std::string line;
-  std::istringstream csv_in(csv.str());
-  while (std::getline(csv_in, line)) ++lines;
-  EXPECT_EQ(lines, stats.total() + 1);
-
-  // JSONL: campaign header + records + summary, streamed in order.
-  EXPECT_NE(jsonl.str().find("\"model\":\"random-value\""), std::string::npos);
-  EXPECT_NE(jsonl.str().find("\"run_index\":4"), std::string::npos);
-  EXPECT_NE(jsonl.str().find("\"type\":\"summary\""), std::string::npos);
+  std::istringstream jsonl_in(jsonl.str());
+  while (std::getline(jsonl_in, line)) lines.push_back(line);
+  ASSERT_EQ(lines.size(), stats.total() + 2);
+  EXPECT_TRUE(lines.front().starts_with(
+      "{\"type\":\"campaign\",\"model\":\"random-value\""))
+      << lines.front();
+  for (std::size_t i = 0; i < stats.total(); ++i)
+    EXPECT_TRUE(lines[i + 1].starts_with("{\"type\":\"run\",\"run_index\":" +
+                                         std::to_string(i) + ","))
+        << lines[i + 1];
+  EXPECT_TRUE(lines.back().starts_with("{\"type\":\"summary\""))
+      << lines.back();
 }
 
 TEST(Campaign, JsonlSinkEscapesAllControlCharacters) {

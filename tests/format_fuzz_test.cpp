@@ -320,6 +320,46 @@ TEST(FormatFuzz, CampaignCountFlagsAcceptOnlyDigits) {
               "--threads wants a non-negative integer up to 4294967295");
 }
 
+TEST(FormatFuzz, ShardPortAndSecondsFlagsRefuseTypos) {
+  // --shard i/N, HOST:PORT (--listen, --connect) and the seconds flags
+  // refuse typos, trailing bytes, out-of-range shards and ports, and
+  // negative or non-finite seconds: each spelling below exits 2 naming
+  // its flag, instead of running as shard 0/2 or on a wrapped port.
+  using campaign_cli::parse_host_port;
+  using campaign_cli::parse_seconds;
+  using campaign_cli::parse_shard;
+  for (const char* bad : {"x/2", "1/2x", "2/2", "1/0", "1", "/2", "1/"}) {
+    EXPECT_EXIT(parse_shard("--shard", bad), ::testing::ExitedWithCode(2),
+                "--shard")
+        << "accepted --shard \"" << bad << '"';
+  }
+  const campaign_cli::Shard shard = parse_shard("--shard", "1/2");
+  EXPECT_EQ(shard.index, 1u);
+  EXPECT_EQ(shard.count, 2u);
+
+  std::string host;
+  std::uint16_t port = 1;
+  for (const char* bad : {"h:70000", "h:abc", "h:", "h:-1", "h"}) {
+    EXPECT_EXIT(parse_host_port("--listen", bad, &host, &port),
+                ::testing::ExitedWithCode(2), "--listen")
+        << "accepted --listen \"" << bad << '"';
+  }
+  parse_host_port("--connect", "h:7070", &host, &port);
+  EXPECT_EQ(host, "h");
+  EXPECT_EQ(port, 7070);
+  parse_host_port("--listen", "127.0.0.1:0", &host, &port);
+  EXPECT_EQ(host, "127.0.0.1");
+  EXPECT_EQ(port, 0);  // ephemeral: perfbench and fleet_e2e.sh rely on it
+
+  for (const char* bad : {"x", "", "-1", "1s", "inf", "nan"}) {
+    EXPECT_EXIT(parse_seconds("--heartbeat-timeout", bad),
+                ::testing::ExitedWithCode(2), "--heartbeat-timeout")
+        << "accepted --heartbeat-timeout \"" << bad << '"';
+  }
+  EXPECT_EQ(parse_seconds("--metrics-interval", "0.2"), 0.2);
+  EXPECT_EQ(parse_seconds("--reconnect-base-delay", "0"), 0.0);
+}
+
 TEST(FormatFuzz, RunRecordLineMutationsParseOrThrow) {
   // Seeded adversarial treatment of the JSONL record parser: mutate a
   // valid line byte-by-byte (flips, truncations, splices). Accept-or-throw

@@ -125,7 +125,8 @@ TEST(Integration, BayesianSelectionFindsValidatedHazards) {
   SafetyPredictor predictor(goldens);
   BayesianFaultSelector selector(predictor);
   const auto catalog = build_catalog(scenarios, default_target_ranges(), 7.5);
-  const SelectionResult selection = selector.select(catalog, goldens);
+  const SelectionResult selection =
+      selector.select_critical_faults(catalog, goldens);
   ASSERT_GT(selection.critical.size(), 0u)
       << "selector must flag critical faults";
 
