@@ -49,23 +49,28 @@ void report_tables() {
               "the paper's frozen steering (33.5 m/s, amax = 6)");
 }
 
+// Procedure P as every caller runs it: the default dt (5 ms) and release
+// rate, at amax = 6 and L = 2.8, over the two input shapes P gets. Golden
+// scenes and replays call it on near-straight, lane-centred states;
+// Bayesian selection calls it on predicted states out to a heading of 0.8
+// and a steering angle of -0.57 rad.
 void bm_stopping_distance(benchmark::State& state) {
+  struct Shape {
+    double theta0, phi0;
+    const char* label;
+  };
+  static constexpr Shape kShapes[] = {{0.005, 0.003, "golden-like"},
+                                      {0.8, -0.57, "selection extreme"}};
   const double v0 = static_cast<double>(state.range(0));
+  const Shape& shape = kShapes[state.range(1)];
   for (auto _ : state) {
-    auto d = kinematics::stopping_distance(6.0, v0, 0.0, 0.05, 2.8);
+    auto d =
+        kinematics::stopping_distance(6.0, v0, shape.theta0, shape.phi0, 2.8);
     benchmark::DoNotOptimize(d);
   }
+  state.SetLabel(shape.label);
 }
-BENCHMARK(bm_stopping_distance)->Arg(10)->Arg(20)->Arg(30)->Arg(40);
-
-void bm_stopping_distance_coarse(benchmark::State& state) {
-  // The dt used online by the pipeline's safety evaluation.
-  for (auto _ : state) {
-    auto d = kinematics::stopping_distance(6.0, 33.5, 0.0, 0.05, 2.8, 1e-2);
-    benchmark::DoNotOptimize(d);
-  }
-}
-BENCHMARK(bm_stopping_distance_coarse);
+BENCHMARK(bm_stopping_distance)->ArgsProduct({{10, 20, 30}, {0, 1}});
 
 void bm_bicycle_step(benchmark::State& state) {
   kinematics::VehicleState s;

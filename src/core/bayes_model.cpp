@@ -420,19 +420,37 @@ SafetyPredictor load_predictor(const std::string& path) {
     const auto it = meta.find(key);
     return it != meta.end() ? it->second : fallback;
   };
-  config.slices = static_cast<int>(get("slices", config.slices));
+  const auto reject = [&path](const std::string& what) {
+    throw std::runtime_error("load_predictor: " + path + ": " + what);
+  };
+  // The k-TBN holds the fault in slices 1 .. k-2 and queries slice k-1, so
+  // `slices` must be an integer k >= 3 and slice k-1 must be the network's
+  // last. Checked before the cast, which 1e300 would overflow.
+  const double slices = get("slices", config.slices);
+  const auto has_slice = [&net](double slice) {
+    return net.dag()
+        .find(DbnTemplate::slice_name("true_v", static_cast<int>(slice)))
+        .has_value();
+  };
+  if (!(slices >= 3.0) || slices != std::floor(slices) ||
+      slices > static_cast<double>(net.node_count()) ||
+      !has_slice(slices - 1.0) || has_slice(slices))
+    reject("slices must be an integer >= 3 matching the network's slices");
+  config.slices = static_cast<int>(slices);
+  // A selected fault is replayed stuck-at for (slices - 2) / scene_hz s.
   config.scene_hz = get("scene_hz", config.scene_hz);
+  if (!(std::isfinite(config.scene_hz) && config.scene_hz > 0.0))
+    reject("scene_hz must be finite and positive");
   config.amax = get("amax", config.amax);
   config.wheelbase = get("wheelbase", config.wheelbase);
   config.lane_half_width = get("lane_half_width", config.lane_half_width);
   config.ego_half_width = get("ego_half_width", config.ego_half_width);
   // Every prediction runs procedure P on these; same bounds as a .scn
   // file's ego_params (docs/FORMATS.md).
-  if (config.amax < kinematics::kMinStopDecel || !(config.wheelbase > 0.0))
-    throw std::runtime_error(
-        "load_predictor: " + path + ": amax must be at least " +
-        util::shortest_double(kinematics::kMinStopDecel) +
-        " m/s^2 and wheelbase positive");
+  if (!(config.amax >= kinematics::kMinStopDecel))
+    reject("amax must be at least " +
+           util::shortest_double(kinematics::kMinStopDecel) + " m/s^2");
+  if (!(config.wheelbase > 0.0)) reject("wheelbase must be positive");
   return SafetyPredictor(std::move(net), config);
 }
 

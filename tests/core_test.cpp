@@ -410,23 +410,49 @@ TEST_F(BayesModelTest, FittedPredictorRoundTripsThroughSerialization) {
   std::remove(path.c_str());
 }
 
-TEST_F(BayesModelTest, LoadPredictorRejectsStopParamsProcedurePCannotRun) {
+TEST_F(BayesModelTest, LoadPredictorRejectsParamsTheCampaignCannotRun) {
   // Every prediction runs procedure P with the file's amax and wheelbase:
   // P takes v0 / (amax * 5 ms) steps, so a tiny amax stalls selection and
-  // a zero one makes every prediction read as safe.
+  // a zero one makes every prediction read as safe. `slices` picks the
+  // query slice and the fault hold, and `scene_hz` turns the hold into
+  // seconds: 3.5 would run a 3-TBN on the 4-slice network, 1e300 overflows
+  // the cast to int, 2 and 0 leave no hold or query slice, 3 and 5 query a
+  // slice the network was not fitted to query, and a negative scene_hz
+  // gives every replay a negative fault hold.
   const std::string path = "predictor_bad_stop_params_test.bn";
   for (const auto& [key, value] : std::vector<std::pair<std::string, double>>{
-           {"amax", 0.001}, {"amax", 0.0}, {"wheelbase", 0.0}}) {
+           {"amax", 0.001},
+           {"amax", 0.0},
+           {"wheelbase", 0.0},
+           {"slices", 3.5},
+           {"slices", 1e300},
+           {"slices", 2.0},
+           {"slices", 0.0},
+           {"slices", -4.0},
+           {"slices", 3.0},
+           {"slices", 5.0},
+           {"scene_hz", -7.5},
+           {"scene_hz", 0.0}}) {
     bn::NetworkMeta meta = {{"amax", 6.0}, {"wheelbase", 2.8}};
     meta[key] = value;
     bn::save_network_file(predictor_->network(), path, meta);
-    EXPECT_THROW(load_predictor(path), std::runtime_error)
-        << key << "=" << value;
+    try {
+      load_predictor(path);
+      ADD_FAILURE() << key << "=" << value << " loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path + ": " + key),
+                std::string::npos)
+          << e.what();
+    }
   }
   bn::save_network_file(predictor_->network(), path,
-                        {{"amax", kinematics::kMinStopDecel}});
-  EXPECT_DOUBLE_EQ(load_predictor(path).config().amax,
-                   kinematics::kMinStopDecel);
+                        {{"amax", kinematics::kMinStopDecel},
+                         {"slices", 4.0},
+                         {"scene_hz", 7.5}});
+  const SafetyPredictor loaded = load_predictor(path);
+  EXPECT_DOUBLE_EQ(loaded.config().amax, kinematics::kMinStopDecel);
+  EXPECT_EQ(loaded.config().slices, 4);
+  EXPECT_EQ(loaded.horizon(), 2);
   std::remove(path.c_str());
 }
 
