@@ -38,7 +38,7 @@ void report_tables() {
     const auto held = kinematics::stopping_distance(6.0, 33.5, 0.0, phi, 2.8);
     // Paper-pure variant: dphi/dt = 0 for the whole stop (eq. (5)).
     const auto frozen =
-        kinematics::stopping_distance(6.0, 33.5, 0.0, phi, 2.8, 5e-3, 0.0);
+        kinematics::stopping_distance(6.0, 33.5, 0.0, phi, 2.8, 0.0);
     sweep.add_row({util::Table::fmt(phi, 2),
                    util::Table::fmt(held.longitudinal, 1),
                    util::Table::fmt(held.lateral, 2),
@@ -49,8 +49,8 @@ void report_tables() {
               "the paper's frozen steering (33.5 m/s, amax = 6)");
 }
 
-// Procedure P as every caller runs it: the default dt (5 ms) and release
-// rate, at amax = 6 and L = 2.8, over the two input shapes P gets. Golden
+// Procedure P as every caller runs it: the default release rate, at
+// amax = 6 and L = 2.8, over the two input shapes P gets. Golden
 // scenes and replays call it on near-straight, lane-centred states;
 // Bayesian selection calls it on predicted states out to a heading of 0.8
 // and a steering angle of -0.57 rad.

@@ -61,10 +61,9 @@ struct PipelineConfig {
 
 // One scene (camera frame) worth of state: the BN variables plus the
 // ground-truth safety potential. Recorded at scene_hz. Each record costs
-// one run of procedure P (kinematics::stopping_distance), which dominates
-// a scene's simulation cost; the ADS's believed potential is therefore
-// not recorded but computed on demand by
-// AdsPipeline::believed_safety_potential().
+// one run of procedure P (kinematics::stopping_distance); the ADS's
+// believed potential would cost a second, so it is not recorded but
+// computed on demand by AdsPipeline::believed_safety_potential().
 struct SceneRecord {
   double t = 0.0;
   // BN variables (believed values, i.e. what the ADS itself sees).

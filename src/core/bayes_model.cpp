@@ -451,6 +451,12 @@ SafetyPredictor load_predictor(const std::string& path) {
     reject("amax must be at least " +
            util::shortest_double(kinematics::kMinStopDecel) + " m/s^2");
   if (!(config.wheelbase > 0.0)) reject("wheelbase must be positive");
+  // The lateral margin is lane_half_width - |y| - ego_half_width, clamped
+  // at 0, so a lane no wider than the car makes every verdict critical.
+  if (!(config.ego_half_width >= 0.0))
+    reject("ego_half_width must be non-negative");
+  if (!(config.lane_half_width > config.ego_half_width))
+    reject("lane_half_width must be greater than ego_half_width");
   return SafetyPredictor(std::move(net), config);
 }
 

@@ -1,7 +1,10 @@
 #include "core/selector.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
+#include <optional>
 
 namespace drivefi::core {
 
@@ -45,10 +48,24 @@ namespace {
 struct ChunkResult {
   std::vector<SelectedFault> critical;
   std::size_t evaluated = 0;
+  std::size_t inferences = 0;
   std::size_t unmapped = 0;
   std::size_t no_window = 0;
   std::size_t no_lead = 0;
   std::size_t golden_unsafe = 0;
+};
+
+bool same_frame(const CandidateFault& a, const CandidateFault& b) {
+  return a.scenario_index == b.scenario_index && a.scene_index == b.scene_index;
+}
+
+// A prediction made in the current frame, kept for the targets that map to
+// the same BN variable and value.
+struct MadePrediction {
+  const std::string* variable;
+  std::uint64_t value_bits;
+  std::optional<DeltaPrediction> prediction;
+  PredictSkip skip;
 };
 
 }  // namespace
@@ -61,14 +78,28 @@ SelectionResult BayesianFaultSelector::select_critical_faults(
   SelectionResult result;
   result.candidates_total = catalog.size();
 
+  // A prediction depends only on (scenario, scene, BN variable, value), and
+  // targets that share a BN variable (imu.speed and localization.v, say)
+  // repeat each other's predictions within a frame. Chunks end on a frame
+  // boundary, so every repeat finds its original in its own chunk whatever
+  // the chunk size.
   const std::size_t chunk = std::max<std::size_t>(1, options.chunk);
-  const std::size_t n_chunks = (catalog.size() + chunk - 1) / chunk;
+  std::vector<std::size_t> bounds{0};
+  while (bounds.back() < catalog.size()) {
+    std::size_t end = std::min(bounds.back() + chunk, catalog.size());
+    while (end < catalog.size() &&
+           same_frame(catalog.faults[end - 1], catalog.faults[end]))
+      ++end;
+    bounds.push_back(end);
+  }
+  const std::size_t n_chunks = bounds.size() - 1;
 
   const auto evaluate_chunk = [&](std::size_t chunk_index) {
     ChunkResult out;
-    const std::size_t begin = chunk_index * chunk;
-    const std::size_t end = std::min(begin + chunk, catalog.size());
-    for (std::size_t f = begin; f < end; ++f) {
+    std::vector<MadePrediction> frame;  // predictions of the current frame
+    const CandidateFault* frame_fault = nullptr;
+    for (std::size_t f = bounds[chunk_index]; f < bounds[chunk_index + 1];
+         ++f) {
       const CandidateFault& fault = catalog.faults[f];
       const auto map_it = target_map_.find(fault.target);
       if (map_it == target_map_.end() ||
@@ -90,12 +121,29 @@ SelectionResult BayesianFaultSelector::select_critical_faults(
         continue;
       }
 
-      const double bn_value = fault_value_to_bn_value(fault, map_it->second);
-      PredictSkip skip = PredictSkip::kNone;
-      const auto prediction = predictor_.predict(
-          trace, fault.scene_index, map_it->second, bn_value, &skip);
-      if (!prediction) {
-        if (skip == PredictSkip::kNoLead)
+      if (frame_fault == nullptr || !same_frame(*frame_fault, fault)) {
+        frame.clear();
+        frame_fault = &fault;
+      }
+      const std::string& variable = map_it->second;
+      const auto value_bits = std::bit_cast<std::uint64_t>(
+          fault_value_to_bn_value(fault, variable));
+      auto made = std::find_if(
+          frame.begin(), frame.end(), [&](const MadePrediction& m) {
+            return m.value_bits == value_bits && *m.variable == variable;
+          });
+      if (made == frame.end()) {
+        MadePrediction m{&variable, value_bits, std::nullopt,
+                         PredictSkip::kNone};
+        m.prediction =
+            predictor_.predict(trace, fault.scene_index, variable,
+                               std::bit_cast<double>(value_bits), &m.skip);
+        out.inferences += m.prediction.has_value();
+        frame.push_back(std::move(m));
+        made = frame.end() - 1;
+      }
+      if (!made->prediction) {
+        if (made->skip == PredictSkip::kNoLead)
           ++out.no_lead;
         else
           ++out.no_window;
@@ -103,10 +151,10 @@ SelectionResult BayesianFaultSelector::select_critical_faults(
       }
       ++out.evaluated;
 
-      if (prediction->critical()) {
+      if (made->prediction->critical()) {
         SelectedFault selected;
         selected.fault = fault;
-        selected.prediction = *prediction;
+        selected.prediction = *made->prediction;
         selected.golden_delta_lon = scene.true_delta_lon;
         selected.golden_delta_lat = scene.true_delta_lat;
         out.critical.push_back(std::move(selected));
@@ -119,6 +167,7 @@ SelectionResult BayesianFaultSelector::select_critical_faults(
   executor.run_ordered<ChunkResult>(
       n_chunks, evaluate_chunk, [&](ChunkResult&& partial) {
         result.candidates_evaluated += partial.evaluated;
+        result.inference_calls += partial.inferences;
         result.skipped_unmapped += partial.unmapped;
         result.skipped_no_window += partial.no_window;
         result.skipped_no_lead += partial.no_lead;
@@ -139,9 +188,6 @@ SelectionResult BayesianFaultSelector::select_critical_faults(
                      return da < db;
                    });
 
-  // Every evaluated candidate is exactly one BN inference (skips return
-  // before inference), so the accounting stays thread-count independent.
-  result.inference_calls = result.candidates_evaluated;
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -7,8 +7,9 @@
 /// inference, which is the source of the paper's ~3690x acceleration.
 ///
 /// The sweep is a first-class parallel campaign: select_critical_faults
-/// shards the catalog into fixed-size chunks over a ParallelExecutor and
-/// merges chunk results in chunk order, so the SelectionResult -- critical
+/// shards the catalog into chunks that end on a frame boundary over a
+/// ParallelExecutor and merges chunk results in chunk order, so the
+/// SelectionResult -- critical
 /// list, counters, everything except wall_seconds -- is bit-identical at
 /// any thread count (enforced by tests/determinism_test.cpp), exactly like
 /// the Experiment campaigns.
@@ -45,6 +46,9 @@ struct SelectionResult {
   std::size_t skipped_no_lead = 0;        // a window scene has no lead
   std::size_t skipped_golden_unsafe = 0;  // scene unsafe without the fault
   double wall_seconds = 0.0;
+  /// BN inferences made: one per distinct (scenario, scene, BN variable,
+  /// value) among the evaluated candidates. Targets that map to the same
+  /// BN variable share a prediction, so this is below candidates_evaluated.
   std::size_t inference_calls = 0;
 
   std::size_t candidates_skipped() const {
@@ -56,7 +60,8 @@ struct SelectionResult {
 /// Options for the parallel catalog sweep.
 struct SelectionOptions {
   ExecutorConfig executor;  // thread pool; 0 = all hardware threads
-  std::size_t chunk = 256;  // candidates per work unit
+  std::size_t chunk = 256;  // candidates per work unit, extended to the
+                            // end of the chunk's last frame
 };
 
 /// Mapping from FaultRegistry target names to BN variables. Targets with no

@@ -1,9 +1,9 @@
 #include "kinematics/stopping.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cmath>
+#include <limits>
 
 #include "obs/metrics.h"
 
@@ -11,148 +11,117 @@ namespace drivefi::kinematics {
 
 namespace {
 
-// Below this magnitude, the cos and sin of a heading offset come from the
-// Taylor series in rotate(); above it, from libm. A stage's heading offset
-// is at most 0.7 * amax * h above 1 m/s, which is 0.021 rad at the
-// defaults, so libm is the exception.
-constexpr double kSeriesLimit = 1.0 / 16.0;
+constexpr double kLaneHoldGain = 1.2;    // rad of steering per rad of heading
+constexpr double kLaneHoldLimit = 0.55;  // rad, bound on the lane-hold command
+// |command - phi0| within which the steering starts on the command.
+constexpr double kOnCommand = 1e-12;
+// How closely a step lands on an event, in seconds. Landing late by d
+// moves d_stop by O(d^2), since every rate that changes there is
+// continuous except at v = 1 m/s, which is landed on in closed form.
+constexpr double kLandingTolerance = 1e-8;
+constexpr int kMaxLandingIterations = 64;
 
-// The friction cap clamps tan(phi) instead of phi. Since tan is increasing
-// on (-pi/2, pi/2), tan(clamp(phi, -limit, limit)) equals
-// clamp(tan(phi), -tan(limit), tan(limit)) as long as |phi| < pi/2. That
-// holds at every stage: the input clamp makes |phi0| <= 1, and the slew
-// moves phi toward a target inside +-0.55 by at most h * rate per stage
-// (0.004 rad at the defaults). A stage past this margin, which takes a dt
-// or a slew rate far beyond the defaults (a .scn file sets steering_rate),
-// caps phi itself through libm as the per-stage formulation does.
-constexpr double kTangentCapLimit = 1.5;
-
-// Steps between refreshes of the carried cos, sin and tan from libm.
-constexpr unsigned kResyncSteps = 64;
-
-// tan of the 1 rad steering limit that applies up to 1 m/s.
-const double kTanLowSpeedLimit = std::tan(1.0);
-
-struct Heading {
-  double cos, sin;
-};
-
-Heading heading_of(double theta) {
-  return Heading{std::cos(theta), std::sin(theta)};
+// The lane-hold command T(theta): the steering that decays the heading
+// error, clamped to the actuator's range.
+double lane_hold(double theta) {
+  return std::clamp(-kLaneHoldGain * theta, -kLaneHoldLimit, kLaneHoldLimit);
 }
 
-// (cos, sin) of `theta`, given those of `base` near it. The offset
-// theta - base is exact whenever the two are within a factor of two, so
-// this tracks the same rounded angles the caller steps through. The libm
-// fallback is a separate function so that this one stays small enough to
-// inline: P calls it four times a step.
-inline Heading rotate(const Heading& at_base, double base, double theta) {
-  const double d = theta - base;
-  if (!(std::abs(d) < kSeriesLimit)) [[unlikely]]
-    return heading_of(theta);
-  // sin d and 1 - cos d to degree 9 and 10; the first omitted terms are
-  // below 1e-20 at |d| = 1/16.
-  const double d2 = d * d;
-  const double sin_d =
-      d + d * d2 *
-              (-1.0 / 6 +
-               d2 * (1.0 / 120 + d2 * (-1.0 / 5040 + d2 * (1.0 / 362880))));
-  const double versin_d =
-      d2 * (1.0 / 2 +
-            d2 * (-1.0 / 24 +
-                  d2 * (1.0 / 720 +
-                        d2 * (-1.0 / 40320 + d2 * (1.0 / 3628800)))));
-  return Heading{
-      at_base.cos - (at_base.cos * versin_d + at_base.sin * sin_d),
-      at_base.sin + (at_base.cos * sin_d - at_base.sin * versin_d)};
-}
-
-// tan(a + b) from tan a and tan b.
-double tan_sum(double tan_a, double tan_b) {
-  return (tan_a + tan_b) / (1.0 - tan_a * tan_b);
-}
-
-// The steering offsets one step of length h can make: every stage offset
-// and step increment is m * h * rate / 6 for an integer m in [-6, 6]
-// (stages 2 and 3 sit at m = 3 * slew, stage 4 at m = 6 * slew). Built
-// once per distinct step length, which is twice per call: the full steps
-// and the partial last one.
-class SlewTable {
- public:
-  void build(double h, double rate) {
-    for (int m = -6; m <= 6; ++m) tan_[m + 6] = std::tan(h * m * rate / 6.0);
-    h_ = h;
+// The first s in (a, b] with g(s) <= 0, given g(a) > 0 >= g(b), within
+// kLandingTolerance (Illinois false position). The result is on the
+// event's far side, so the state there already belongs to the next mode.
+template <class G>
+double land(const G& g, double a, double ga, double b, double gb) {
+  int kept = 0;  // +1 if the last iteration kept b, -1 if it kept a
+  for (int i = 0; i < kMaxLandingIterations && gb != 0.0 &&
+                  b - a > kLandingTolerance;
+       ++i) {
+    double c = (a * gb - b * ga) / (gb - ga);
+    if (!(c > a && c < b)) c = 0.5 * (a + b);
+    const double gc = g(c);
+    if (gc > 0.0) {
+      a = c;
+      ga = gc;
+      if (kept == 1) gb *= 0.5;
+      kept = 1;
+    } else {
+      b = c;
+      gb = gc;
+      if (kept == -1) ga *= 0.5;
+      kept = -1;
+    }
   }
-  double h() const { return h_; }
-
-  // tan(phi + m * h * rate / 6) from tan_phi.
-  double shifted(double tan_phi, int m) const {
-    if (m == 0) return tan_phi;
-    return tan_sum(tan_phi, tan_[m + 6]);
-  }
-
- private:
-  double h_ = 0.0;
-  std::array<double, 13> tan_{};
-};
-
-// Lane-hold steering (see the header for how this deviates from the
-// paper's frozen steering and why): the actuator slews at `rate` toward a
-// command that decays the heading error. Returns the slew direction,
-// -1, 0 or +1.
-int slew_direction(double theta, double phi, double rate) {
-  constexpr double kLaneHoldGain = 1.2;  // rad of steering per rad of heading
-  if (!(rate > 0.0)) return 0;
-  const double target = std::clamp(-kLaneHoldGain * theta, -0.55, 0.55);
-  const double err = target - phi;
-  if (err > 1e-12) return 1;
-  if (err < -1e-12) return -1;
-  return 0;
+  return b;
 }
 
-// Derivatives of the reduced dynamics (paper eq. (6)) at one RK4 stage.
-// Speed ramps down at amax, so dv/dt is implicit.
-struct StageRates {
-  double dx, dy, dtheta;
-  int slew;  // dphi/dt = slew * rate
+// Position and heading, which RK4 integrates. Speed is explicit in time
+// (dv/dt = -amax), and so is the steering except while it slides.
+struct Pose {
+  double x, y, theta;
 };
 
-// The constants of one call of P.
-struct StopModel {
+// One call of P: its constants and the steering law of the current step.
+struct Stop {
+  double amax;
   double inv_wheelbase;
-  double budget_wheelbase;  // 0.7 * amax * wheelbase
-  double rate;              // steering release rate, rad/s
+  double cap_budget;  // 0.7 * amax * wheelbase
+  double rate;        // steering release rate, rad/s; 0 freezes the steering
+  bool low_speed;     // at or below 1 m/s, where the steering limit is 1 rad
+  // The steering slides on lane_hold(theta), or else is phi + slew * rate
+  // * tau at tau seconds into the step (slew 0 when frozen).
+  bool slide;
+  int slew;
+  double phi;
 
   // Friction cap shared with the bicycle model: while braking at amax the
   // combined-slip budget leaves a reduced lateral allowance, approximated
-  // as a constant fraction of the longitudinal authority. The cap on the
-  // steering angle is atan(budget_wheelbase / v^2) above 1 m/s and 1 rad
-  // below; this returns its tan, so no atan is taken.
-  double tan_phi_limit(double v) const {
-    if (v <= 1.0) return kTanLowSpeedLimit;
-    return budget_wheelbase / (v * v);
+  // as a constant fraction of the longitudinal authority.
+  double steer_limit(double v) const {
+    return low_speed ? 1.0 : std::atan(cap_budget / (v * v));
+  }
+  double steering(double tau, double theta) const {
+    return slide ? lane_hold(theta) : phi + slew * rate * tau;
+  }
+  double yaw_rate(double v, double steer, double limit) const {
+    return v * std::tan(std::clamp(steer, -limit, limit)) * inv_wheelbase;
   }
 
-  // Stage at speed v, heading theta with (cos, sin) `dir`, and steering
-  // phi with tan(phi) = tan_phi; `cap` is tan_phi_limit(v), shared by the
-  // stages at equal speeds.
-  StageRates stage(double v, double theta, const Heading& dir, double phi,
-                   double tan_phi, double cap) const {
-    double tan_eff;
-    if (std::abs(phi) < kTangentCapLimit) {
-      tan_eff = std::clamp(tan_phi, -cap, cap);
-    } else {
-      const double limit = std::atan(cap);  // the cap on phi itself
-      tan_eff = std::tan(std::clamp(phi, -limit, limit));
-    }
-    return StageRates{v * dir.cos, v * dir.sin, v * tan_eff * inv_wheelbase,
-                      slew_direction(theta, phi, rate)};
+  // Paper eq. (6) at tau seconds into a step that starts at speed v.
+  Pose rates(double tau, double v, double limit, double theta) const {
+    return Pose{v * std::cos(theta), v * std::sin(theta),
+                yaw_rate(v, steering(tau, theta), limit)};
   }
 };
 
+// The pose h seconds after `p`, one RK4 step from speed v (whose steering
+// limit is `limit`), with the steering limit at the step's end.
+struct Rk4Step {
+  Pose pose;
+  double limit;
+};
+
+Rk4Step rk4(const Stop& m, const Pose& p, double v, double limit, double h) {
+  const double hh = 0.5 * h;
+  const double v_half = v - m.amax * hh;
+  const double v_end = v - m.amax * h;
+  const double limit_half = m.steer_limit(v_half);
+  const double limit_end = m.steer_limit(v_end);
+  const Pose k1 = m.rates(0.0, v, limit, p.theta);
+  const Pose k2 = m.rates(hh, v_half, limit_half, p.theta + hh * k1.theta);
+  const Pose k3 = m.rates(hh, v_half, limit_half, p.theta + hh * k2.theta);
+  const Pose k4 = m.rates(h, v_end, limit_end, p.theta + h * k3.theta);
+  const double w = h / 6.0;
+  return Rk4Step{
+      Pose{p.x + w * (k1.x + 2.0 * k2.x + 2.0 * k3.x + k4.x),
+           p.y + w * (k1.y + 2.0 * k2.y + 2.0 * k3.y + k4.y),
+           p.theta +
+               w * (k1.theta + 2.0 * k2.theta + 2.0 * k3.theta + k4.theta)},
+      limit_end};
+}
+
 StoppingDistance integrate_stop(double amax, double v0, double theta0,
-                                double phi0, double wheelbase, double dt,
-                                double rate) {
+                                double phi0, double wheelbase, double rate,
+                                StopEvents* events) {
   StoppingDistance out;
   // The inputs may be *believed* state reconstructed from corrupted ADS
   // variables (that is the whole point of fault injection), so they must
@@ -170,105 +139,232 @@ StoppingDistance integrate_stop(double amax, double v0, double theta0,
   phi0 = std::clamp(phi0, -kMaxSteer, kMaxSteer);
   if (v0 <= 0.0 || amax <= 0.0) return out;
 
-  const StopModel model{1.0 / wheelbase, 0.7 * amax * wheelbase, rate};
+  // The stop time is exactly v0/amax since dv/dt = -amax is constant; the
+  // last step lands on it.
+  const double t_stop = v0 / amax;
+  const double t_low = (v0 - 1.0) / amax;  // when v = 1 m/s
+  Stop m{amax,        1.0 / wheelbase, 0.7 * amax * wheelbase,
+         rate > 0.0 ? rate : 0.0,      v0 <= 1.0,
+         false,       0,               phi0};
+  StopEvents seen;
+  Pose pose{0.0, 0.0, theta0};
+  // Flags of the current segment. They change only where P lands on the
+  // event that changes them, on its far side, so rounding at an event
+  // cannot make P land on it twice.
+  bool capped = false;     // the friction cap binds the steering
+  bool saturated = false;  // sliding on lane_hold's clamp at +-0.55 rad
 
-  // State: position, heading theta with its cos and sin in `dir`, speed,
-  // and steering phi with its tan. The RK4 stages sit at the step's start
-  // heading plus a small offset, so their cos and sin come from rotate();
-  // every steering offset is a multiple of h * rate / 6, so their tan
-  // comes from the tangent addition formula over a SlewTable. No stage
-  // calls libm in the common case, and the steps, the stage states, the
-  // slew with its deadband, the friction cap and the stop time are those
-  // of the per-stage formulation; only rounding differs.
-  double x = 0.0, y = 0.0, theta = theta0, v = v0, phi = phi0;
-  Heading dir{};
-  double tan_phi = 0.0;
-  SlewTable slew;
+  // Puts the steering on the lane-hold command at speed v. It slides there
+  // if the command moves no faster than the rate (Filippov's sliding mode,
+  // the limit of the bang-bang slew's chatter as the step shrinks), and
+  // otherwise slews after the command.
+  const auto settle = [&](double v, double limit, double theta) {
+    const bool was_sliding = m.slide;
+    m.phi = lane_hold(theta);
+    saturated = kLaneHoldGain * std::abs(theta) > kLaneHoldLimit;
+    const double command_rate =
+        saturated ? 0.0 : -kLaneHoldGain * m.yaw_rate(v, m.phi, limit);
+    if (std::abs(command_rate) <= m.rate) {
+      m.slide = true;
+      m.slew = 0;
+      seen.slides += !was_sliding;
+    } else {
+      m.slide = false;
+      m.slew = command_rate > 0.0 ? 1 : -1;
+      seen.slide_exits += was_sliding;
+      ++seen.slews;
+    }
+  };
+
+  if (m.rate > 0.0) {
+    const double err = lane_hold(theta0) - phi0;
+    if (std::abs(err) > kOnCommand) {
+      m.slew = err > 0.0 ? 1 : -1;
+      ++seen.slews;
+    } else {
+      settle(v0, m.steer_limit(v0), theta0);
+    }
+  }
+  capped = !m.low_speed &&
+           std::abs(m.steering(0.0, theta0)) > m.steer_limit(v0);
+
+  // Positive while a slide keeps its regime: the command stays clamped (or
+  // not), the cap keeps binding (or not), and, while it binds, the command
+  // moves no faster than the rate. Unclamped and uncapped, |dT/dt| only
+  // falls as v and |theta| do, so the slide cannot end there.
+  struct SlideGaps {
+    double clamp, cap, rate;
+    double min() const { return std::min({clamp, cap, rate}); }
+  };
+  const auto slide_gaps = [&](const Pose& p, double v, double limit) {
+    constexpr double kNone = std::numeric_limits<double>::infinity();
+    const double command = lane_hold(p.theta);
+    SlideGaps g{kNone, kNone, kNone};
+    if (saturated)
+      g.clamp = kLaneHoldGain * std::abs(p.theta) - kLaneHoldLimit;
+    if (!m.low_speed) {
+      const double over = std::abs(command) - limit;
+      g.cap = capped ? over : -over;
+    }
+    if (capped && !saturated)
+      g.rate = m.rate - kLaneHoldGain * std::abs(m.yaw_rate(v, command, limit));
+    return g;
+  };
 
   double t = 0.0;
-  // The stop time is exactly v0/amax since dv/dt = -amax is constant; we
-  // still integrate positionally and land the final partial step on it.
-  const double t_stop = v0 / amax;
-  // The cap depends on speed alone, and an RK4 step sees only two new
-  // speeds: k2 and k3 share the half-step speed (k1.v == k2.v == -amax),
-  // and k4's speed v + h * -amax equals the next step's start speed
-  // v - amax * h bit for bit (the max(0, .) clamp below only acts when
-  // both are <= 1, where the cap is tan 1).
-  double cap_start = model.tan_phi_limit(v);
-  for (unsigned step = 0; t < t_stop; ++step) {
-    const double h = std::min(dt, t_stop - t);
-    // The carried cos, sin and tan gather rounding at every step. Taking
-    // them from libm at the first step, every kResyncSteps after it, and
-    // while the steering is past kTangentCapLimit keeps them within a few
-    // ulps of the angles the loop steps through, at stops of any length.
-    if (step % kResyncSteps == 0 || !(std::abs(phi) < kTangentCapLimit)) {
-      dir = heading_of(theta);
-      tan_phi = std::tan(phi);
+  double limit = m.steer_limit(v0);  // at the start of each step
+  while (t < t_stop) {
+    const double v = v0 - amax * t;
+    const bool landing = seen.switches < kMaxStopEvents;
+    if (!landing && !m.slide && m.slew != 0) {
+      // Past the event cap the steering follows the command exactly.
+      m.slide = true;
+      saturated = kLaneHoldGain * std::abs(pose.theta) > kLaneHoldLimit;
+      capped = false;
     }
-    const double hh = 0.5 * h;
-    if (rate > 0.0 && h != slew.h()) slew.build(h, rate);
 
-    const StageRates k1 = model.stage(v, theta, dir, phi, tan_phi, cap_start);
+    double h = std::min(kStopStep, t_stop - t);
+    if (m.slide && !capped && !saturated) {
+      // Sliding below the cap, dtheta/dt ~ -1.2 v theta / L: RK4 keeps
+      // h * 1.2 v / L <= 1.
+      h = std::min(h, std::max(kStopStep / 16.0,
+                               1.0 / (kLaneHoldGain * v * m.inv_wheelbase)));
+    }
+    bool slew_ends = false;
+    if (!m.slide && m.slew != 0) {
+      // A slew toward a command inside +-0.55 rad meets it by the time the
+      // steering reaches the far bound.
+      const double room =
+          m.slew > 0 ? kLaneHoldLimit - m.phi : m.phi + kLaneHoldLimit;
+      if (room / m.rate <= h) {
+        h = std::max(0.0, room / m.rate);
+        slew_ends = true;
+      }
+    }
+    bool to_low = false;
+    if (!m.low_speed && t_low - t <= h) {
+      h = std::max(0.0, t_low - t);
+      to_low = true;
+      slew_ends = false;
+    }
 
-    const double v_half = v + hh * -amax;
-    const double cap_half = model.tan_phi_limit(v_half);
-    const double theta2 = theta + hh * k1.dtheta;
-    const double phi2 = phi + hh * (k1.slew * rate);
-    const StageRates k2 =
-        model.stage(v_half, theta2, rotate(dir, theta, theta2), phi2,
-                    slew.shifted(tan_phi, 3 * k1.slew), cap_half);
+    // While the steering is explicit in time, so is the cap: land on the
+    // instant |phi| crosses atan(0.7 amax L / v^2). A slew through zero
+    // crosses a narrow cap twice in one step, so a binding cap is also
+    // tested where phi = 0, where it cannot bind.
+    bool kink = false;
+    if (landing && !m.slide && !m.low_speed) {
+      const auto cap_gap = [&](double tau) {
+        const double over =
+            std::abs(m.steering(tau, 0.0)) - m.steer_limit(v - amax * tau);
+        return capped ? over : -over;
+      };
+      const double through_zero = m.slew != 0 ? -m.phi / (m.slew * m.rate) : 0.0;
+      const double probe =
+          capped && through_zero > 0.0 && through_zero < h ? through_zero : h;
+      const double g_end = cap_gap(probe);
+      if (g_end < 0.0) {
+        const double s = land(cap_gap, 0.0, cap_gap(0.0), probe, g_end);
+        if (s < h) to_low = slew_ends = false;
+        h = s;
+        kink = true;
+      }
+    }
 
-    const double theta3 = theta + hh * k2.dtheta;
-    const double phi3 = phi + hh * (k2.slew * rate);
-    const StageRates k3 =
-        model.stage(v_half, theta3, rotate(dir, theta, theta3), phi3,
-                    slew.shifted(tan_phi, 3 * k2.slew), cap_half);
+    Rk4Step next = rk4(m, pose, v, limit, h);
 
-    const double v_end = v + h * -amax;
-    const double cap_end = model.tan_phi_limit(v_end);
-    const double theta4 = theta + h * k3.dtheta;
-    const double phi4 = phi + h * (k3.slew * rate);
-    const StageRates k4 =
-        model.stage(v_end, theta4, rotate(dir, theta, theta4), phi4,
-                    slew.shifted(tan_phi, 6 * k3.slew), cap_end);
+    // Implicit events: a slew meets the command, or a slide changes regime.
+    // Land on the first by root-finding on the step length. A slew cut at
+    // the far bound has met the command at the step's end.
+    bool met = false, slide_event = false;
+    if (landing && (m.slide || m.slew != 0)) {
+      const auto gap = [&](const Rk4Step& st, double s) {
+        return m.slide
+                   ? slide_gaps(st.pose, v - amax * s, st.limit).min()
+                   : m.slew * (lane_hold(st.pose.theta) - m.steering(s, 0.0));
+      };
+      const double g_end = gap(next, h);
+      if (g_end < 0.0 || (!m.slide && (g_end == 0.0 || slew_ends))) {
+        if (g_end < 0.0) {
+          const double s = land(
+              [&](double s) { return gap(rk4(m, pose, v, limit, s), s); },
+              0.0, gap(Rk4Step{pose, limit}, 0.0), h, g_end);
+          if (s < h) {
+            h = s;
+            next = rk4(m, pose, v, limit, s);
+            to_low = kink = false;
+          }
+        }
+        (m.slide ? slide_event : met) = true;
+      }
+    }
 
-    x += h / 6.0 * (k1.dx + 2.0 * k2.dx + 2.0 * k3.dx + k4.dx);
-    y += h / 6.0 * (k1.dy + 2.0 * k2.dy + 2.0 * k3.dy + k4.dy);
-    const double theta_next =
-        theta +
-        h / 6.0 * (k1.dtheta + 2.0 * k2.dtheta + 2.0 * k3.dtheta + k4.dtheta);
-    dir = rotate(dir, theta, theta_next);
-    theta = theta_next;
-    phi += h / 6.0 * (k1.slew * rate + 2.0 * (k2.slew * rate) +
-                      2.0 * (k3.slew * rate) + k4.slew * rate);
-    tan_phi = slew.shifted(
-        tan_phi, k1.slew + 2 * k2.slew + 2 * k3.slew + k4.slew);
-    v = std::max(0.0, v - amax * h);
-    cap_start = cap_end;
-    t += h;
+    // Every test below sees the step's end state as the trial saw it.
+    const double v_end = v - amax * h;
+    const SlideGaps landed =
+        slide_event ? slide_gaps(next.pose, v_end, next.limit) : SlideGaps{};
+    pose = next.pose;
+    if (!m.slide) m.phi += m.slew * m.rate * h;
+    t = to_low ? t_low : t + h;
+
+    if (kink) {
+      capped = !capped;
+      ++seen.cap_kinks;
+      ++seen.switches;
+    }
+    if (slide_event) {
+      ++seen.switches;
+      if (landed.clamp <= 0.0) saturated = false;
+      if (landed.cap <= 0.0) {
+        capped = !capped;
+        ++seen.cap_kinks;
+      }
+    }
+    if (to_low) {
+      // At and below 1 m/s the limit is 1 rad, and |phi| <= 1 throughout.
+      m.low_speed = true;
+      capped = false;
+      seen.low_speed = true;
+    }
+    const double limit_end = to_low ? m.steer_limit(v_end) : next.limit;
+    limit = limit_end;
+    if (met) {
+      ++seen.switches;
+      settle(v_end, limit_end, pose.theta);
+      capped = !m.low_speed &&
+               std::abs(m.steering(0.0, pose.theta)) > limit_end;
+    } else if (m.slide && (slide_event || to_low) && !saturated &&
+               m.rate - kLaneHoldGain *
+                            std::abs(m.yaw_rate(v_end, lane_hold(pose.theta),
+                                                limit_end)) <=
+                   0.0) {
+      settle(v_end, limit_end, pose.theta);
+    }
   }
 
   // Components are expressed in the reference (lane) frame that theta0 is
   // measured against: a heading error at maneuver start therefore shows up
   // as lateral displacement, which is exactly the lane-violation hazard.
-  out.longitudinal = x;
-  out.lateral = y;
+  out.longitudinal = pose.x;
+  out.lateral = pose.y;
   out.stop_time = t_stop;
+  if (events) *events = seen;
   return out;
 }
 
 }  // namespace
 
 StoppingDistance stopping_distance(double amax, double v0, double theta0,
-                                   double phi0, double wheelbase, double dt,
-                                   double steering_release_rate) {
+                                   double phi0, double wheelbase,
+                                   double steering_release_rate,
+                                   StopEvents* events) {
   // P is most of a scene's cost and all of a prediction's, so its wall time
   // is observed on every call (two clock reads and one observe).
   static obs::Histogram& wall_hist =
       obs::metrics().histogram("kinematics.stopping_distance_seconds");
   const auto start = std::chrono::steady_clock::now();
   const StoppingDistance out = integrate_stop(
-      amax, v0, theta0, phi0, wheelbase, dt, steering_release_rate);
+      amax, v0, theta0, phi0, wheelbase, steering_release_rate, events);
   wall_hist.observe(
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count());
@@ -276,10 +372,9 @@ StoppingDistance stopping_distance(double amax, double v0, double theta0,
 }
 
 StoppingDistance stopping_distance(const VehicleState& state,
-                                   const VehicleParams& params, double dt) {
+                                   const VehicleParams& params) {
   return stopping_distance(params.amax_comfort, state.v, state.theta,
-                           state.phi, params.wheelbase, dt,
-                           params.steering_rate);
+                           state.phi, params.wheelbase, params.steering_rate);
 }
 
 double stopping_distance_straight(double amax, double v0) {

@@ -20,31 +20,58 @@ struct StoppingDistance {
   double stop_time = 0.0;     // s, time to standstill
 };
 
-// The paper's procedure P (eq. (7)): iterative numerical integration of the
-// reduced system (6) from the initial kinematic state. Implemented with RK4
-// at the given step size. Each call's wall time is observed into the
-// `kinematics.stopping_distance_seconds` histogram (obs/metrics.h).
+// P's internal RK4 step (s). A step is cut short to land on each mode
+// switch and kink, and is at most L / (1.2 v) while the steering slides
+// below the friction cap, where the lane-hold loop is stiff.
+inline constexpr double kStopStep = 0.05;
+
+// Most mode switches and kinks one call of P lands on. Past it P stops
+// landing on them and lets the steering follow the lane-hold command, so a
+// call always ends. A stop lands on a handful; a slew rate near 1e-3
+// rad/s makes the steering oscillate about the command with shrinking
+// swings before it slides, and the worst such input found needs ~100.
+inline constexpr int kMaxStopEvents = 256;
+
+// What one call of P did, for tests that must show each path ran.
+struct StopEvents {
+  int slews = 0;          // segments where the steering slews at the rate
+  int slides = 0;         // segments where it slides on the lane-hold command
+  int slide_exits = 0;    // slides left because the command outran the rate
+  int cap_kinks = 0;      // steps landed where the friction cap binds or lets go
+  bool low_speed = false; // a step landed on v = 1 m/s
+  int switches = 0;       // every landing above, against kMaxStopEvents
+};
+
+// The paper's procedure P (eq. (7)): numerical integration of the reduced
+// system (6) from the initial kinematic state, as a hybrid system (docs/
+// ARCHITECTURE.md, "Procedure P steers to hold the lane"). The steering
+// either slews at steering_release_rate (rad/s) or slides on the lane-hold
+// command; RK4 steps of kStopStep land exactly on every switch between the
+// two, on every friction-cap kink and on v = 1 m/s. Each call's wall time
+// is observed into the `kinematics.stopping_distance_seconds` histogram
+// (obs/metrics.h); `events`, if given, receives what the call did.
 //
 // Deviation from eq. (5): the stop brakes with lane-hold steering (the
 // actuator slews at steering_release_rate, rad/s, toward a command that
 // decays the heading error) instead of the paper's frozen steering; see
-// docs/ARCHITECTURE.md, "Procedure P steers to hold the lane", for why.
-// Pass steering_release_rate = 0 for the paper-pure frozen-steering variant.
+// the same section for why. Pass steering_release_rate = 0 for the
+// paper-pure frozen-steering variant.
 StoppingDistance stopping_distance(double amax, double v0, double theta0,
                                    double phi0, double wheelbase,
-                                   double dt = 5e-3,
-                                   double steering_release_rate = 0.8);
+                                   double steering_release_rate = 0.8,
+                                   StopEvents* events = nullptr);
 
 // Smallest emergency-stop deceleration (m/s^2) accepted from input files
-// (`.scn` ego_params amax_comfort, a fitted predictor's amax). P takes
-// v0 / (amax * dt) steps, so with speeds clamped to 150 m/s the floor caps
-// one call at 150 / 1 / 5e-3 = 30,000 steps; below it a campaign stalls.
+// (`.scn` ego_params amax_comfort, a fitted predictor's amax). A stop lasts
+// v0 / amax, so with speeds clamped to 150 m/s the floor caps one call at
+// 150 / 1 / kStopStep = 3,000 full steps, plus the stiff-slide steps above
+// L / (1.2 kStopStep) m/s and kMaxStopEvents landings; below it a
+// campaign stalls.
 inline constexpr double kMinStopDecel = 1.0;
 
 // Convenience overload from a vehicle state.
 StoppingDistance stopping_distance(const VehicleState& state,
-                                   const VehicleParams& params,
-                                   double dt = 5e-3);
+                                   const VehicleParams& params);
 
 // Closed form for straight-line motion (phi0 == 0): v0^2 / (2 amax).
 // Used by tests/benches to validate the numerical procedure.

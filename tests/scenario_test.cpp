@@ -153,8 +153,8 @@ TEST(Dsl, RejectsMalformedInputWithLineNumbers) {
   EXPECT_EQ(line_of("scenario a\n  description \"dangling\\"), 2u);
   EXPECT_EQ(line_of("scenario a\n  description \"unterminated\n"), 2u);
   EXPECT_EQ(line_of("scenario a\n"), 1u);  // never closed, reports opener
-  // Procedure P takes v0 / (amax_comfort * 5 ms) steps per scene: 0.001
-  // stalls golden precompute, while 0 or nan make every scene read as
+  // Procedure P integrates a stop of v0 / amax_comfort seconds per scene:
+  // 0.001 stalls golden precompute, while 0 or nan make every scene read as
   // safe. The documented floor, 1 m/s^2, parses.
   const auto ego_params_line = [&](const std::string& params) {
     return line_of("scenario a\n  duration 4\n  ego_params " + params +
