@@ -21,6 +21,7 @@
 #include "core/experiment.h"
 #include "core/fault_model.h"
 #include "core/jsonl.h"
+#include "core/result_store.h"
 #include "core/selector.h"
 #include "scenario/dsl.h"
 #include "sim/scenario.h"
@@ -229,6 +230,41 @@ inline CampaignSetup build_campaign(const CampaignArgs& a, bool quiet) {
     std::exit(2);
   }
   return setup;
+}
+
+/// `drivefi_campaign merge`'s command line.
+struct MergeArgs {
+  std::string jsonl_path;
+  std::string store_path;
+  drivefi::core::StoreFormat store_format = drivefi::core::StoreFormat::kJsonl;
+  std::vector<std::string> shard_paths;
+};
+
+/// Every argument that is neither an option nor an option's value is a
+/// shard path. Any other argument starting with "--" exits with status 2
+/// as an unknown option, so neither a typo (`--jsnol OUT`) nor `--help` is
+/// merged as a shard.
+inline MergeArgs parse_merge_args(const std::vector<std::string>& args) {
+  MergeArgs merge;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string& arg = args[i];
+    const auto next = [&]() -> const std::string& {
+      if (i + 1 >= args.size()) {
+        std::fprintf(stderr, "error: %s needs a value\n", arg.c_str());
+        std::exit(2);
+      }
+      return args[++i];
+    };
+    if (arg == "--jsonl") merge.jsonl_path = next();
+    else if (arg == "--store") merge.store_path = next();
+    else if (arg == "--store-format")
+      merge.store_format = drivefi::core::parse_store_format(next());
+    else if (arg.starts_with("--")) {
+      std::fprintf(stderr, "error: unknown option %s\n", arg.c_str());
+      std::exit(2);
+    } else merge.shard_paths.push_back(arg);
+  }
+  return merge;
 }
 
 /// Parses "host:port" for `flag`; the port goes through parse_count, so it

@@ -371,57 +371,42 @@ int cmd_status(int argc, char** argv) {
 }
 
 int cmd_merge(int argc, char** argv) {
-  std::string jsonl_path;
-  std::string store_path;
-  core::StoreFormat store_format = core::StoreFormat::kJsonl;
-  std::vector<std::string> shard_paths;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--jsonl") jsonl_path = next();
-    else if (arg == "--store") store_path = next();
-    else if (arg == "--store-format")
-      store_format = core::parse_store_format(next());
-    else shard_paths.push_back(arg);
-  }
-  if (shard_paths.empty()) {
+  const campaign_cli::MergeArgs args =
+      campaign_cli::parse_merge_args({argv, argv + argc});
+  if (args.shard_paths.empty()) {
     std::fprintf(stderr, "error: merge needs at least one shard file\n");
     return 2;
   }
 
-  const core::MergedCampaign merged = core::merge_shards(shard_paths);
+  const core::MergedCampaign merged = core::merge_shards(args.shard_paths);
   std::printf("merged %zu shard file(s): model %s (%s), %zu runs\n",
-              shard_paths.size(), merged.manifest.model.c_str(),
+              args.shard_paths.size(), merged.manifest.model.c_str(),
               merged.manifest.model_params.c_str(),
               merged.manifest.planned_runs);
   core::outcome_table(merged.stats).print("campaign outcomes");
 
-  if (!jsonl_path.empty()) {
-    std::ofstream out(jsonl_path, std::ios::binary);
+  if (!args.jsonl_path.empty()) {
+    std::ofstream out(args.jsonl_path, std::ios::binary);
     if (!out) {
-      std::fprintf(stderr, "error: cannot open %s\n", jsonl_path.c_str());
+      std::fprintf(stderr, "error: cannot open %s\n", args.jsonl_path.c_str());
       return 1;
     }
     core::write_merged_jsonl(merged, out);
-    std::printf("wrote canonical campaign JSONL to %s\n", jsonl_path.c_str());
+    std::printf("wrote canonical campaign JSONL to %s\n",
+                args.jsonl_path.c_str());
   }
-  if (!store_path.empty()) {
+  if (!args.store_path.empty()) {
     // Re-export the merged campaign as one 0/1-shard store (any format):
     // the compaction path from a JSONL shard set to an indexed binary
     // store, and vice versa.
     const std::unique_ptr<core::ShardStore> store = core::open_shard_store(
-        store_path, merged.manifest, store_format,
+        args.store_path, merged.manifest, args.store_format,
         core::StoreOpenMode::kOverwrite);
     for (const core::InjectionRecord& record : merged.stats.records)
       store->append(record);
     std::printf("wrote merged %s store to %s\n",
-                core::store_format_name(store_format), store_path.c_str());
+                core::store_format_name(args.store_format),
+                args.store_path.c_str());
   }
   return 0;
 }

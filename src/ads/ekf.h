@@ -9,7 +9,7 @@
 #pragma once
 
 #include "ads/messages.h"
-#include "util/matrix.h"
+#include "util/small_matrix.h"
 
 namespace drivefi::ads {
 
@@ -33,8 +33,8 @@ class LocalizationEkf {
   // filter has been initialized. Config is not state.
   struct Snapshot {
     bool initialized = false;
-    util::Vector x = util::Vector(4);
-    util::Matrix p;
+    util::Vec<4> x;
+    util::Mat<4, 4> p;
 
     bool operator==(const Snapshot&) const = default;
   };
@@ -63,7 +63,7 @@ class LocalizationEkf {
   bool update_speed(double speed);
 
   LocalizationMsg estimate(double t) const;
-  const util::Matrix& covariance() const { return p_; }
+  const util::Mat<4, 4>& covariance() const { return p_; }
 
   // Normalized estimation error squared against ground truth; used by the
   // EKF consistency property test.
@@ -73,8 +73,8 @@ class LocalizationEkf {
  private:
   EkfConfig config_;
   bool initialized_ = false;
-  util::Vector x_ = util::Vector(4);  // [x, y, theta, v]
-  util::Matrix p_;
+  util::Vec<4> x_;  // [x, y, theta, v]
+  util::Mat<4, 4> p_ = util::Mat<4, 4>::identity();
 };
 
 }  // namespace drivefi::ads

@@ -8,8 +8,7 @@
 
 namespace drivefi::ads {
 
-using util::Matrix;
-using util::Vector;
+using Mat4 = util::Mat<4, 4>;
 
 ObjectTracker::ObjectTracker(const TrackerConfig& config) : config_(config) {}
 
@@ -40,10 +39,10 @@ void ObjectTracker::predict(Track& track, double dt) const {
   track.state[0] += track.state[2] * dt;
   track.state[1] += track.state[3] * dt;
 
-  Matrix f = Matrix::identity(4);
+  Mat4 f = Mat4::identity();
   f(0, 2) = dt;
   f(1, 3) = dt;
-  Matrix q(4, 4);
+  Mat4 q;
   const double s = config_.process_sigma * config_.process_sigma;
   q(0, 0) = q(1, 1) = 0.25 * dt * dt * dt * dt * s;
   q(0, 2) = q(2, 0) = 0.5 * dt * dt * dt * s;
@@ -54,24 +53,24 @@ void ObjectTracker::predict(Track& track, double dt) const {
 
 void ObjectTracker::correct(Track& track, const Detection& det) const {
   // Measurement: position (x, y) and speed along +x.
-  Matrix h(3, 4);
+  util::Mat<3, 4> h;
   h(0, 0) = 1.0;
   h(1, 1) = 1.0;
   h(2, 2) = 1.0;
 
-  Matrix r(3, 3);
+  util::Mat<3, 3> r;
   r(0, 0) = r(1, 1) = config_.measurement_sigma * config_.measurement_sigma;
   r(2, 2) = 4.0 * config_.measurement_sigma * config_.measurement_sigma;
 
-  Vector innovation{det.x - track.state[0], det.y - track.state[1],
-                    det.speed_along - track.state[2]};
-  const Matrix s = h * track.cov * h.transposed() + r;
+  const util::Vec<3> innovation{{det.x - track.state[0],
+                                 det.y - track.state[1],
+                                 det.speed_along - track.state[2]}};
+  const util::Mat<3, 3> s = h * track.cov * h.transposed() + r;
   const util::Lu s_lu(s);
   if (s_lu.singular()) return;
-  const Matrix k = track.cov * h.transposed() * s_lu.inverse();
-  const Vector dx = k * innovation;
-  track.state += dx;
-  track.cov = (Matrix::identity(4) - k * h) * track.cov;
+  const util::Mat<4, 3> k = track.cov * h.transposed() * s_lu.inverse();
+  track.state += k * innovation;
+  track.cov = (Mat4::identity() - k * h) * track.cov;
   track.length = det.length;
   track.width = det.width;
 }
@@ -129,7 +128,7 @@ std::vector<TrackedObject> ObjectTracker::update(const DetectionMsg& detections,
     track.state[1] = det.y;
     track.state[2] = det.speed_along;
     track.state[3] = 0.0;
-    track.cov = Matrix::identity(4);
+    track.cov = Mat4::identity();
     track.cov(2, 2) = track.cov(3, 3) =
         config_.initial_speed_sigma * config_.initial_speed_sigma;
     track.hits = 1;

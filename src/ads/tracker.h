@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "ads/messages.h"
-#include "util/matrix.h"
+#include "util/small_matrix.h"
 
 namespace drivefi::ads {
 
@@ -27,9 +27,9 @@ struct TrackerConfig {
 class ObjectTracker {
  public:
   struct Track {
-    int id;
-    util::Vector state = util::Vector(4);  // [x, y, vx, vy]
-    util::Matrix cov;
+    int id = 0;
+    util::Vec<4> state;  // [x, y, vx, vy]
+    util::Mat<4, 4> cov;
     int hits = 0;
     int misses = 0;
     double length = 4.8;

@@ -1,11 +1,8 @@
 #include "util/matrix.h"
 
+#include <algorithm>
 #include <cassert>
-
-#include "util/bits.h"
 #include <cmath>
-#include <sstream>
-#include <stdexcept>
 
 namespace drivefi::util {
 
@@ -41,32 +38,6 @@ double Vector::norm_inf() const {
   return m;
 }
 
-std::string Vector::to_string() const {
-  std::ostringstream os;
-  os << "[";
-  for (std::size_t i = 0; i < size(); ++i) {
-    if (i) os << ", ";
-    os << data_[i];
-  }
-  os << "]";
-  return os.str();
-}
-
-bool bits_equal(const Vector& a, const Vector& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (!bits_equal(a[i], b[i])) return false;
-  return true;
-}
-
-bool bits_equal(const Matrix& a, const Matrix& b) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  for (std::size_t r = 0; r < a.rows(); ++r)
-    for (std::size_t c = 0; c < a.cols(); ++c)
-      if (!bits_equal(a(r, c), b(r, c))) return false;
-  return true;
-}
-
 Vector operator+(Vector lhs, const Vector& rhs) { return lhs += rhs; }
 Vector operator-(Vector lhs, const Vector& rhs) { return lhs -= rhs; }
 Vector operator*(double s, Vector v) { return v *= s; }
@@ -84,12 +55,6 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
 Matrix Matrix::identity(std::size_t n) {
   Matrix m(n, n);
   for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
-Matrix Matrix::diagonal(const Vector& d) {
-  Matrix m(d.size(), d.size());
-  for (std::size_t i = 0; i < d.size(); ++i) m(i, i) = d[i];
   return m;
 }
 
@@ -142,27 +107,6 @@ double Matrix::max_abs() const {
   double m = 0.0;
   for (double v : data_) m = std::max(m, std::abs(v));
   return m;
-}
-
-bool Matrix::is_symmetric(double tol) const {
-  if (rows_ != cols_) return false;
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = r + 1; c < cols_; ++c)
-      if (std::abs((*this)(r, c) - (*this)(c, r)) > tol) return false;
-  return true;
-}
-
-std::string Matrix::to_string() const {
-  std::ostringstream os;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    os << (r == 0 ? "[" : " ");
-    for (std::size_t c = 0; c < cols_; ++c) {
-      if (c) os << ", ";
-      os << (*this)(r, c);
-    }
-    os << (r + 1 == rows_ ? "]" : ";\n");
-  }
-  return os.str();
 }
 
 Matrix operator+(Matrix lhs, const Matrix& rhs) { return lhs += rhs; }
@@ -258,79 +202,5 @@ Matrix Cholesky::solve(const Matrix& b) const {
   }
   return out;
 }
-
-Lu::Lu(const Matrix& a) : lu_(a), perm_(a.rows()) {
-  assert(a.rows() == a.cols());
-  const std::size_t n = a.rows();
-  for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
-  for (std::size_t col = 0; col < n; ++col) {
-    // Partial pivot.
-    std::size_t pivot = col;
-    double best = std::abs(lu_(col, col));
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double v = std::abs(lu_(r, col));
-      if (v > best) {
-        best = v;
-        pivot = r;
-      }
-    }
-    if (best < 1e-300) {
-      singular_ = true;
-      return;
-    }
-    if (pivot != col) {
-      for (std::size_t c = 0; c < n; ++c)
-        std::swap(lu_(pivot, c), lu_(col, c));
-      std::swap(perm_[pivot], perm_[col]);
-      sign_ = -sign_;
-    }
-    const double inv_pivot = 1.0 / lu_(col, col);
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double factor = lu_(r, col) * inv_pivot;
-      lu_(r, col) = factor;
-      for (std::size_t c = col + 1; c < n; ++c)
-        lu_(r, c) -= factor * lu_(col, c);
-    }
-  }
-}
-
-Vector Lu::solve(const Vector& b) const {
-  if (singular_) throw std::runtime_error("Lu::solve on singular matrix");
-  const std::size_t n = lu_.rows();
-  assert(b.size() == n);
-  Vector y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double v = b[perm_[i]];
-    for (std::size_t k = 0; k < i; ++k) v -= lu_(i, k) * y[k];
-    y[i] = v;
-  }
-  Vector x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double v = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) v -= lu_(ii, k) * x[k];
-    x[ii] = v / lu_(ii, ii);
-  }
-  return x;
-}
-
-Matrix Lu::solve(const Matrix& b) const {
-  Matrix out(b.rows(), b.cols());
-  for (std::size_t c = 0; c < b.cols(); ++c) {
-    const Vector x = solve(b.col(c));
-    for (std::size_t r = 0; r < b.rows(); ++r) out(r, c) = x[r];
-  }
-  return out;
-}
-
-Matrix Lu::inverse() const { return solve(Matrix::identity(lu_.rows())); }
-
-double Lu::determinant() const {
-  if (singular_) return 0.0;
-  double det = sign_;
-  for (std::size_t i = 0; i < lu_.rows(); ++i) det *= lu_(i, i);
-  return det;
-}
-
-Matrix inverse(const Matrix& a) { return Lu(a).inverse(); }
 
 }  // namespace drivefi::util

@@ -1,12 +1,13 @@
-// Small dense linear-algebra library used by the Bayesian-network engine
-// (joint-Gaussian conditioning) and the localization EKF. Row-major,
-// double precision, dynamic size. Sizes in this project are tiny
-// (<= a few hundred), so clarity beats blocking/vectorization tricks.
+// Small dense linear-algebra library for the Bayesian-network engine
+// (joint-Gaussian conditioning), its only user: the BN's sizes are known
+// only at run time (13 variables per slice, 52 nodes at the default 4
+// slices). The Kalman filters, whose sizes are fixed, use
+// util/small_matrix.h. Row-major, double precision, dynamic size. Sizes
+// are tiny, so clarity beats blocking/vectorization tricks.
 #pragma once
 
 #include <cstddef>
 #include <initializer_list>
-#include <string>
 #include <vector>
 
 namespace drivefi::util {
@@ -33,8 +34,6 @@ class Vector {
   double norm() const;
   double norm_inf() const;
 
-  std::string to_string() const;
-
  private:
   std::vector<double> data_;
 };
@@ -52,7 +51,6 @@ class Matrix {
   Matrix(std::initializer_list<std::initializer_list<double>> rows);
 
   static Matrix identity(std::size_t n);
-  static Matrix diagonal(const Vector& d);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -80,21 +78,12 @@ class Matrix {
                 const std::vector<std::size_t>& col_idx) const;
 
   double max_abs() const;
-  bool is_symmetric(double tol = 1e-9) const;
-
-  std::string to_string() const;
 
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
-
-// Bit-exact equality (see util/bits.h): used by snapshot comparisons that
-// gate golden-tail splicing, where representation identity -- not value
-// equality -- decides whether two states share a future.
-bool bits_equal(const Vector& a, const Vector& b);
-bool bits_equal(const Matrix& a, const Matrix& b);
 
 Matrix operator+(Matrix lhs, const Matrix& rhs);
 Matrix operator-(Matrix lhs, const Matrix& rhs);
@@ -120,25 +109,5 @@ class Cholesky {
   Matrix l_;
   bool ok_ = false;
 };
-
-// LU with partial pivoting; general-purpose solve/inverse/determinant.
-class Lu {
- public:
-  explicit Lu(const Matrix& a);
-
-  bool singular() const { return singular_; }
-  Vector solve(const Vector& b) const;
-  Matrix solve(const Matrix& b) const;
-  Matrix inverse() const;
-  double determinant() const;
-
- private:
-  Matrix lu_;
-  std::vector<std::size_t> perm_;
-  int sign_ = 1;
-  bool singular_ = false;
-};
-
-Matrix inverse(const Matrix& a);
 
 }  // namespace drivefi::util

@@ -320,6 +320,29 @@ TEST(FormatFuzz, CampaignCountFlagsAcceptOnlyDigits) {
               "--threads wants a non-negative integer up to 4294967295");
 }
 
+TEST(FormatFuzz, MergeRefusesUnknownOptions) {
+  // merge takes every non-option argument as a shard path, so an unknown
+  // option must exit 2 instead of becoming one: `--help` would fail to
+  // open a store named "--help", and `--jsnol OUT` would merge OUT.
+  using campaign_cli::parse_merge_args;
+  for (const char* bad : {"--help", "--jsnol", "--store-fromat"}) {
+    EXPECT_EXIT(parse_merge_args({"--jsonl", "out.jsonl", bad, "a.jsonl"}),
+                ::testing::ExitedWithCode(2),
+                std::string("error: unknown option ") + bad)
+        << "accepted " << bad;
+  }
+  EXPECT_EXIT(parse_merge_args({"a.jsonl", "--jsonl"}),
+              ::testing::ExitedWithCode(2), "--jsonl needs a value");
+
+  const campaign_cli::MergeArgs merge =
+      parse_merge_args({"--jsonl", "out.jsonl", "a.jsonl", "--store", "m.bin",
+                        "--store-format", "binary", "b.bin"});
+  EXPECT_EQ(merge.jsonl_path, "out.jsonl");
+  EXPECT_EQ(merge.store_path, "m.bin");
+  EXPECT_EQ(merge.store_format, core::StoreFormat::kBinary);
+  EXPECT_EQ(merge.shard_paths, (std::vector<std::string>{"a.jsonl", "b.bin"}));
+}
+
 TEST(FormatFuzz, ShardPortAndSecondsFlagsRefuseTypos) {
   // --shard i/N, HOST:PORT (--listen, --connect) and the seconds flags
   // refuse typos, trailing bytes, out-of-range shards and ports, and
