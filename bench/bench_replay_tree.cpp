@@ -24,12 +24,14 @@
 //     whole prefix while the trunk materializes it once per group -- the
 //     regime the trunk exists for. memory_matched_speedup gate >= floor.
 //
-//     Every gated engine runs on one thread, and each side of the three
-//     gated ratios is timed as the best of kShots alternating shots of
-//     process CPU time: a single wall-clock shot of a sub-second campaign
-//     reads host jitter. The stride-4 ratio sits near 1.0, so a shared
-//     host whose CPU time for identical work varies by more than 5%
-//     between shots can still push it under its floor.
+//     Every gated engine runs on one thread and is timed in process CPU
+//     time: a single wall-clock shot of a sub-second campaign reads host
+//     jitter. On a shared host the CPU time of identical work still moves
+//     by ~15% between shots, while the stride-4 ratio sits near 1.0, so a
+//     ratio of two best-of-N times reads that drift. Instead each of
+//     kShots shots runs the two engines of a gated pair back to back,
+//     alternating which goes first, and the gate reads the median of the
+//     per-shot ratios: the two sides of one shot share the host's state.
 //
 //   * tree@sparse with a 2-snapshot budget: the memory/speed trade-off.
 //
@@ -123,8 +125,8 @@ double cpu_seconds() {
   return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
-// Shots per side of each gated ratio.
-constexpr int kShots = 5;
+// Shots per gated ratio; odd, so the median is one shot's ratio.
+constexpr int kShots = 15;
 
 struct Measurement {
   double wall_seconds = 0.0;
@@ -159,16 +161,19 @@ Measurement measure(const core::Experiment& engine,
   return m;
 }
 
-// kShots alternating shots of each engine, in reverse order on odd shots
-// so no engine always runs after the same one: the first shot's records,
-// and the best CPU and wall time of the shots.
+// kShots shots of each engine: the first shot's records, each shot's CPU
+// time, and the best CPU and wall time of the shots.
 struct Shots {
   Measurement first;
+  std::vector<double> shot_cpu_seconds;
   double cpu_seconds = std::numeric_limits<double>::infinity();
   double wall_seconds = std::numeric_limits<double>::infinity();
   bool repeatable = true;  // every shot's records equal the first's
 };
 
+// Each shot runs the engines in order, reversed on odd shots, so engines
+// adjacent in `engines` run back to back and alternate which goes first.
+// A gated pair must be adjacent.
 std::vector<Shots> alternate(
     const std::vector<const core::Experiment*>& engines,
     const std::vector<const core::FaultModel*>& models) {
@@ -177,6 +182,7 @@ std::vector<Shots> alternate(
     for (std::size_t k = 0; k < engines.size(); ++k) {
       const std::size_t i = shot % 2 == 0 ? k : engines.size() - 1 - k;
       Measurement m = measure(*engines[i], models);
+      out[i].shot_cpu_seconds.push_back(m.cpu_seconds);
       out[i].cpu_seconds = std::min(out[i].cpu_seconds, m.cpu_seconds);
       out[i].wall_seconds = std::min(out[i].wall_seconds, m.wall_seconds);
       if (shot == 0)
@@ -189,6 +195,33 @@ std::vector<Shots> alternate(
 }
 
 double ratio(double num, double den) { return den > 0.0 ? num / den : 0.0; }
+
+// The per-shot CPU-time ratios num/den of two adjacent engines, and their
+// median (the gated statistic).
+struct ShotRatios {
+  std::vector<double> shots;
+  double median = 0.0;
+};
+
+ShotRatios shot_ratios(const Shots& num, const Shots& den) {
+  ShotRatios r;
+  for (int shot = 0; shot < kShots; ++shot)
+    r.shots.push_back(
+        ratio(num.shot_cpu_seconds[shot], den.shot_cpu_seconds[shot]));
+  std::vector<double> sorted = r.shots;
+  std::nth_element(sorted.begin(), sorted.begin() + kShots / 2, sorted.end());
+  r.median = sorted[kShots / 2];
+  return r;
+}
+
+std::string json_list(const std::vector<double>& values) {
+  std::ostringstream out;
+  out << "[";
+  for (std::size_t i = 0; i < values.size(); ++i)
+    out << (i ? ", " : "") << values[i];
+  out << "]";
+  return out.str();
+}
 
 std::size_t checkpoint_bytes(const core::Experiment& engine) {
   std::size_t total = 0;
@@ -226,23 +259,26 @@ int main(int argc, char** argv) {
               n_value, n_bits, suite.size());
 
   // --- Full replay (the oracle) and the dense regime (stride 4) ----------
-  std::printf("full replay, flat fork and tree at stride 4, best of %d "
-              "alternating shots of CPU time...\n",
+  std::printf("full replay, flat fork and tree at stride 4, median of %d "
+              "per-shot CPU-time ratios...\n",
               kShots);
   const core::Experiment full = make_engine(suite, 0, 0);
   const core::Experiment flat4 = make_engine(suite, 4, 0);
   const core::Experiment tree4 = make_engine(suite, 4, kUncapped);
-  const std::vector<Shots> dense = alternate({&full, &flat4, &tree4}, e3);
+  // The tree runs between the other two: both gated pairs are adjacent.
+  const std::vector<Shots> dense = alternate({&full, &tree4, &flat4}, e3);
   const Shots& full_s = dense[0];
-  const Shots& flat4_s = dense[1];
-  const Shots& tree4_s = dense[2];
+  const Shots& tree4_s = dense[1];
+  const Shots& flat4_s = dense[2];
   const Measurement& full_m = full_s.first;
   bool identical = true;
   for (const Shots& s : dense)
     identical &= s.repeatable && s.first.same_records(full_m);
-  const double full_speedup = ratio(full_s.cpu_seconds, tree4_s.cpu_seconds);
-  const double dense_speedup = ratio(flat4_s.cpu_seconds, tree4_s.cpu_seconds);
-  std::printf("  full %.2fs  flat@4 %.2fs  tree@4 %.2fs CPU  %s\n",
+  const ShotRatios full_ratios = shot_ratios(full_s, tree4_s);
+  const ShotRatios dense_ratios = shot_ratios(flat4_s, tree4_s);
+  const double full_speedup = full_ratios.median;
+  const double dense_speedup = dense_ratios.median;
+  std::printf("  best CPU: full %.2fs  flat@4 %.2fs  tree@4 %.2fs  %s\n",
               full_s.cpu_seconds, flat4_s.cpu_seconds, tree4_s.cpu_seconds,
               verdict(identical));
   std::printf("  full replay vs defaults %.2fx (floor 2.0x), tree vs flat at "
@@ -260,7 +296,7 @@ int main(int argc, char** argv) {
 
   // --- Memory-matched regime (one checkpoint per scenario) ----------------
   std::printf("sparse regime (one checkpoint/scenario): flat fork vs tree, "
-              "best of %d...\n",
+              "median of %d...\n",
               kShots);
   const core::Experiment flat_sparse = make_engine(suite, kSparseStride, 0);
   const core::Experiment tree_sparse =
@@ -277,13 +313,13 @@ int main(int argc, char** argv) {
       kShots;
   const std::uint64_t prefix_reused =
       (counter("replay_tree.prefix_scenes_reused") - reuse_before) / kShots;
-  const double matched_speedup =
-      ratio(flat_sparse_s.cpu_seconds, tree_sparse_s.cpu_seconds);
+  const ShotRatios matched_ratios = shot_ratios(flat_sparse_s, tree_sparse_s);
+  const double matched_speedup = matched_ratios.median;
   bool sparse_identical = true;
   for (const Shots& s : sparse)
     sparse_identical &= s.repeatable && s.first.same_records(full_m);
   identical &= sparse_identical;
-  std::printf("  flat@sparse %.2fs  tree@sparse %.2fs CPU  speedup %.2fx "
+  std::printf("  best CPU: flat@sparse %.2fs  tree@sparse %.2fs  speedup %.2fx "
               "(floor %.1fx)  %s\n",
               flat_sparse_s.cpu_seconds, tree_sparse_s.cpu_seconds,
               matched_speedup, floor, verdict(sparse_identical));
@@ -400,13 +436,21 @@ int main(int argc, char** argv) {
   json << "  \"full_replay_speedup\": " << full_speedup << ",\n";
   json << "  \"tree_vs_flat_stride4_speedup\": " << dense_speedup << ",\n";
   json << "  \"memory_matched_speedup\": " << matched_speedup << ",\n";
+  json << "  \"shot_ratios\": {\"full_replay_speedup\": "
+       << json_list(full_ratios.shots)
+       << ", \"tree_vs_flat_stride4_speedup\": "
+       << json_list(dense_ratios.shots)
+       << ", \"memory_matched_speedup\": " << json_list(matched_ratios.shots)
+       << "},\n";
   json << "  \"identical\": " << (identical ? "true" : "false") << ",\n";
   json << "  \"speedup_floor\": " << floor << ",\n";
-  json << "  \"normalization\": \"The three speedups are ratios of process "
-          "CPU seconds of single-threaded engines, each side the best of "
-          << kShots
-          << " alternating shots; wall_seconds is the best wall time of the "
-             "same shots and is not gated. full_replay_speedup compares full "
+  json << "  \"normalization\": \"The three speedups are medians over "
+       << kShots
+       << " shots of the per-shot ratio of process CPU seconds of two "
+          "single-threaded engines that run back to back, alternating which "
+          "goes first; shot_ratios lists every shot's ratio. A setting's "
+          "cpu_seconds and wall_seconds are the best of the same shots and "
+          "are not gated. full_replay_speedup compares full "
              "replay (stride 0, budget 0) with the defaults (stride 4, "
              "uncapped); gate >= 2.0x. tree_vs_flat_stride4_speedup compares "
              "budget 0 with uncapped at the default stride 4, where stride-4 "

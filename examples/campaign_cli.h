@@ -1,9 +1,9 @@
 // Shared campaign-construction CLI code for the fleet-capable tools:
 // drivefi_campaign (run / worker / merge) and drivefi_campaignd (the
-// coordinator daemon) must build the Experiment and FaultModel from the
+// coordinator daemon) must build the campaign and its manifest from the
 // SAME flags, or a worker launched with subtly different options would be
 // refused at hello (manifest hash mismatch) -- or worse, not exist to
-// refuse. One flag table, one builder, no drift.
+// refuse. One flag table, one construction path (Campaign), no drift.
 #pragma once
 
 #include <cmath>
@@ -21,6 +21,7 @@
 #include "core/experiment.h"
 #include "core/fault_model.h"
 #include "core/jsonl.h"
+#include "core/manifest.h"
 #include "core/result_store.h"
 #include "core/selector.h"
 #include "scenario/dsl.h"
@@ -149,88 +150,113 @@ inline bool parse_campaign_flag(CampaignArgs& a, const std::string& arg,
   return true;
 }
 
-/// A fully constructed campaign: corpus, engine, fault model.
-struct CampaignSetup {
-  std::string scenario_spec;
-  std::unique_ptr<drivefi::core::Experiment> experiment;
-  std::unique_ptr<drivefi::core::FaultModel> model;
-};
+/// One campaign built from its flags: the corpus, the engine's
+/// configuration, the fault model and the manifest. The Experiment, and
+/// with it golden precompute, is built only when something asks for it:
+/// the Bayesian model (its fit and selection read the goldens, and its
+/// manifest pins the replay list), and `run` and `worker`, which execute
+/// runs. A random campaign's coordinator needs only the manifest, which is
+/// a function of the inputs (core::make_manifest), so it simulates nothing.
+class Campaign {
+ public:
+  /// Builds the suite and the fault model. Prints setup narration unless
+  /// `quiet`. Exits with status 2 on an unknown model name, before any
+  /// scenario is loaded or simulated.
+  Campaign(const CampaignArgs& a, bool quiet) : quiet_(quiet) {
+    using namespace drivefi;
+    if (a.model_name == "random-value") {
+      model_ = std::make_unique<core::RandomValueModel>(a.runs, a.seed);
+    } else if (a.model_name == "random-bitflip") {
+      model_ = std::make_unique<core::BitFlipModel>(a.runs, a.seed, a.bits);
+    } else if (a.model_name != "bayesian") {
+      std::fprintf(stderr, "error: unknown model %s\n", a.model_name.c_str());
+      std::exit(2);
+    }
 
-/// Builds the suite, the Experiment (golden precompute happens here), and
-/// the fault model. Prints setup narration unless `quiet`. Exits with
-/// status 2 on an unknown model name.
-inline CampaignSetup build_campaign(const CampaignArgs& a, bool quiet) {
-  using namespace drivefi;
-  CampaignSetup setup;
+    suite_ = a.scn_path.empty() ? sim::base_suite()
+                                : scenario::load_suite(a.scn_path);
+    scenario_spec_ = a.scn_path.empty() ? "builtin:base" : a.scn_path;
+    if (a.scenarios_limit > 0 && a.scenarios_limit < suite_.size()) {
+      suite_.resize(a.scenarios_limit);
+      scenario_spec_ += ":";
+      scenario_spec_ += std::to_string(a.scenarios_limit);
+    }
+    config_.seed = a.pipeline_seed;
+    options_.executor.threads = a.threads;
+    options_.checkpoint_stride = a.checkpoint_stride;
+    options_.max_live_snapshots = a.max_live_snapshots;
 
-  std::vector<sim::Scenario> suite = a.scn_path.empty()
-                                         ? sim::base_suite()
-                                         : scenario::load_suite(a.scn_path);
-  setup.scenario_spec = a.scn_path.empty() ? "builtin:base" : a.scn_path;
-  if (a.scenarios_limit > 0 && a.scenarios_limit < suite.size()) {
-    suite.resize(a.scenarios_limit);
-    setup.scenario_spec += ":";
-    setup.scenario_spec += std::to_string(a.scenarios_limit);
+    if (!model_) model_ = build_bayesian(a);
+    manifest_ = core::make_manifest(suite_, config_, classifier_, options_,
+                                    *model_, scenario_spec_);
   }
 
-  ads::PipelineConfig config;
-  config.seed = a.pipeline_seed;
-  core::ExperimentOptions options;
-  options.executor.threads = a.threads;
-  options.checkpoint_stride = a.checkpoint_stride;
-  options.max_live_snapshots = a.max_live_snapshots;
+  const std::string& scenario_spec() const { return scenario_spec_; }
+  const drivefi::core::FaultModel& model() const { return *model_; }
+  /// Shard coordinates 0/1; `run --shard` sets its own.
+  const drivefi::core::CampaignManifest& manifest() const { return manifest_; }
 
-  if (!quiet)
-    std::printf("running %zu golden scenarios (%s)...\n", suite.size(),
-                setup.scenario_spec.c_str());
-  setup.experiment =
-      std::make_unique<core::Experiment>(suite, config, core::ClassifierConfig{},
-                                         options);
+  /// The engine; the first call runs golden precompute on the --threads
+  /// pool.
+  const drivefi::core::Experiment& experiment() {
+    if (!experiment_) {
+      if (!quiet_)
+        std::printf("running %zu golden scenarios (%s)...\n", suite_.size(),
+                    scenario_spec_.c_str());
+      experiment_ = std::make_unique<drivefi::core::Experiment>(
+          suite_, config_, classifier_, options_);
+    }
+    return *experiment_;
+  }
 
-  if (a.model_name == "random-value") {
-    setup.model = std::make_unique<core::RandomValueModel>(a.runs, a.seed);
-  } else if (a.model_name == "random-bitflip") {
-    setup.model =
-        std::make_unique<core::BitFlipModel>(a.runs, a.seed, a.bits);
-  } else if (a.model_name == "bayesian") {
+ private:
+  std::unique_ptr<drivefi::core::FaultModel> build_bayesian(
+      const CampaignArgs& a) {
+    using namespace drivefi;
     core::BayesianCampaignConfig campaign;
     campaign.max_replays = a.replays;
     campaign.selection.executor.threads = a.threads;
+    const core::Experiment& engine = experiment();
     std::unique_ptr<core::BayesianFaultModel> bayes;
     if (!a.load_bn.empty()) {
-      if (!quiet)
+      if (!quiet_)
         std::printf("loading fitted predictor from %s (no refit)...\n",
                     a.load_bn.c_str());
       auto predictor = std::make_shared<const core::SafetyPredictor>(
           core::load_predictor(a.load_bn));
-      bayes = std::make_unique<core::BayesianFaultModel>(*setup.experiment,
-                                                         predictor, campaign);
+      bayes = std::make_unique<core::BayesianFaultModel>(engine, predictor,
+                                                         campaign);
     } else {
-      if (!quiet)
+      if (!quiet_)
         std::printf("fitting the %d-TBN on golden traces...\n",
                     campaign.predictor.slices);
-      bayes =
-          std::make_unique<core::BayesianFaultModel>(*setup.experiment, campaign);
+      bayes = std::make_unique<core::BayesianFaultModel>(engine, campaign);
     }
     if (!a.save_bn.empty()) {
       core::save_predictor(bayes->predictor(), a.save_bn);
-      if (!quiet)
+      if (!quiet_)
         std::printf("saved fitted predictor to %s\n", a.save_bn.c_str());
     }
-    if (!quiet) {
+    if (!quiet_) {
       const core::SelectionResult& selection = bayes->selection();
       std::printf("Bayesian selection: %zu critical faults (%zu BN inferences, "
                   "replaying top %zu)\n",
                   selection.critical.size(), selection.inference_calls,
                   bayes->run_count());
     }
-    setup.model = std::move(bayes);
-  } else {
-    std::fprintf(stderr, "error: unknown model %s\n", a.model_name.c_str());
-    std::exit(2);
+    return bayes;
   }
-  return setup;
-}
+
+  bool quiet_;
+  std::vector<drivefi::sim::Scenario> suite_;
+  std::string scenario_spec_;
+  drivefi::ads::PipelineConfig config_;
+  drivefi::core::ClassifierConfig classifier_;
+  drivefi::core::ExperimentOptions options_;
+  std::unique_ptr<drivefi::core::Experiment> experiment_;
+  std::unique_ptr<drivefi::core::FaultModel> model_;
+  drivefi::core::CampaignManifest manifest_;
+};
 
 /// `drivefi_campaign merge`'s command line.
 struct MergeArgs {

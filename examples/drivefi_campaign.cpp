@@ -173,11 +173,11 @@ int cmd_run(int argc, char** argv) {
   // where most of the interesting wall time lives on short campaigns.
   if (!trace_out.empty()) obs::start_tracing(trace_out);
 
-  campaign_cli::CampaignSetup setup = campaign_cli::build_campaign(args, false);
+  campaign_cli::Campaign campaign(args, false);
+  const core::Experiment& experiment = campaign.experiment();
 
   // -- manifest + durable shard store ---------------------------------------
-  core::CampaignManifest manifest = core::make_manifest(
-      *setup.experiment, *setup.model, setup.scenario_spec);
+  core::CampaignManifest manifest = campaign.manifest();
   manifest.shard_index = shard.index;
   manifest.shard_count = shard.count;
 
@@ -215,7 +215,7 @@ int cmd_run(int argc, char** argv) {
     sinks.push_back(metrics_sink.get());
   }
   const core::CampaignStats stats =
-      setup.experiment->run_shard(*setup.model, store, sinks);
+      experiment.run_shard(campaign.model(), store, sinks);
   if (!trace_out.empty()) obs::stop_tracing();
   std::fprintf(stderr, "%s\n",
                obs::telemetry_jsonl(stats.wall_seconds).c_str());
@@ -271,9 +271,9 @@ int cmd_worker(int argc, char** argv) {
   }
   config.threads = args.threads;
 
-  campaign_cli::CampaignSetup setup = campaign_cli::build_campaign(args, false);
-  coord::WorkerClient worker(*setup.experiment, *setup.model,
-                             setup.scenario_spec, config);
+  campaign_cli::Campaign campaign(args, false);
+  coord::WorkerClient worker(campaign.experiment(), campaign.model(),
+                             campaign.scenario_spec(), config);
   std::printf("worker %s: local store %s, connecting to %s:%u\n",
               worker.config().name.c_str(), worker.config().store_path.c_str(),
               worker.config().host.c_str(), worker.config().port);

@@ -4,7 +4,16 @@
 // or stall (work stealing), and streams a live fleet status line. When the
 // last planned run is durably stored it notifies the fleet, optionally
 // writes the canonical campaign JSONL, prints the outcome table, and
-// exits 0.
+// exits 0. If a worker may still be reconnecting (a resumed store, or a
+// worker that lost its socket before it was told), it first keeps
+// answering for one --heartbeat-timeout: hellos are welcomed and lease
+// requests get `complete` (docs/FORMATS.md "Reconnect and re-hello").
+//
+// At start-up it computes only the campaign's identity: the corpus hash
+// and the manifest. A random campaign's coordinator therefore simulates
+// nothing and listens at once; a Bayesian one runs golden precompute, the
+// fit and selection first, because its manifest pins the replay list.
+// Each worker runs the golden suite itself.
 //
 //   drivefi_campaignd [campaign options] [daemon options]
 //     (campaign options: see campaign_cli.h -- MUST match the workers')
@@ -24,8 +33,8 @@
 //                          workers as if nothing happened.
 //     --overwrite          discard an existing master store
 //     --lease-runs N       run indices per lease (default 16)
-//     --heartbeat-timeout S  seconds of silence before a lease is re-granted
-//                          (default 5)
+//     --heartbeat-timeout S  seconds of silence before a lease is re-granted,
+//                          and the end-game grace (default 5)
 //     --jsonl OUT          write the canonical campaign JSONL on completion
 //     --quiet              no live progress line
 //     --metrics-out FILE   periodic fleet metrics snapshots (JSONL)
@@ -109,8 +118,9 @@ int main(int argc, char** argv) {
 
   try {
     if (!trace_out.empty()) obs::start_tracing(trace_out);
-    // Same pre-flight as `run`: refuse to clobber durable work before the
-    // golden precompute is spent.
+    // Same pre-flight as `run`: refuse to clobber durable work before any
+    // campaign setup (a Bayesian campaign's golden precompute, fit and
+    // selection) is spent.
     if (!resume && !overwrite &&
         core::stored_record_count(store_path) > 0) {
       std::fprintf(stderr,
@@ -121,10 +131,10 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    campaign_cli::CampaignSetup setup =
-        campaign_cli::build_campaign(args, quiet);
-    const core::CampaignManifest manifest = core::make_manifest(
-        *setup.experiment, *setup.model, setup.scenario_spec);
+    // Only the manifest: the coordinator executes no runs, so a random
+    // campaign's coordinator simulates nothing and listens at once.
+    const campaign_cli::Campaign campaign(args, quiet);
+    const core::CampaignManifest& manifest = campaign.manifest();
 
     const core::StoreOpenMode mode =
         resume ? core::StoreOpenMode::kResume

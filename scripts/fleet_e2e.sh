@@ -16,8 +16,10 @@
 # Also exercises the observability surface end to end: the resumed daemon
 # runs with --metrics-out and --trace-out, a `drivefi_campaign status`
 # probe queries the live fleet, surviving workers' telemetry must show
-# nonzero fleet.reconnects, and both telemetry files must validate as JSON
-# (they are copied into BUILD_DIR for CI artifact upload).
+# nonzero fleet.reconnects, the resumed daemon's telemetry must show no
+# golden simulation (a random campaign's coordinator builds only the
+# manifest), and both telemetry files must validate as JSON (they are
+# copied into BUILD_DIR for CI artifact upload).
 #
 #   scripts/fleet_e2e.sh BUILD_DIR [RUNS]
 set -euo pipefail
@@ -165,12 +167,17 @@ if [ "$COORD_KILLED" -eq 1 ]; then
 fi
 
 echo "== telemetry artifacts =="
-python3 - "$WORK/fleet.trace.json" <<'PYEOF'
+STORED=$(sed -nE 's/^fleet campaign complete: ([0-9]+) runs stored.*/\1/p' \
+  "$WORK/coordinator2.log")
+python3 - "$WORK/fleet.trace.json" "${STORED:?}" <<'PYEOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
 events = doc["traceEvents"]
-assert events, "trace file holds no events"
+# The resumed sitting traces the records it stores. When the first sitting
+# finished before its kill landed, the second resumes a complete store and
+# has nothing to trace: a random campaign's coordinator simulates nothing.
+assert events or int(sys.argv[2]) == 0, "trace file holds no events"
 for event in events:
     assert event["ph"] == "X" and event["cat"] == "drivefi", event
 print(f"trace OK: {len(events)} complete events")
@@ -185,8 +192,17 @@ assert snapshots[-1]["fleet.completed_runs"] == int(sys.argv[2]), snapshots[-1]
 print(f"metrics OK: {len(snapshots)} snapshots, final fleet.completed_runs "
       f"= {snapshots[-1]['fleet.completed_runs']:g}")
 PYEOF
-# A telemetry summary line must land on the daemon's stderr at exit.
-grep -q '"type":"telemetry"' "$WORK/coordinator2.log" || {
-  echo "FAIL: no telemetry summary line in the coordinator log"; exit 1; }
+# A telemetry summary line must land on the daemon's stderr at exit, and a
+# random campaign's coordinator builds only the manifest: its telemetry
+# must count no golden simulation.
+python3 - "$WORK/coordinator2.log" <<'PYEOF'
+import json, sys
+marker = '{"type":"telemetry"'
+lines = [line[line.index(marker):] for line in open(sys.argv[1]) if marker in line]
+assert lines, "no telemetry summary line in the coordinator log"
+golden = json.loads(lines[-1]).get("experiment.golden_runs", 0)
+assert golden == 0, f"the coordinator ran {golden:g} golden simulations"
+print("coordinator telemetry OK: no golden simulation")
+PYEOF
 cp "$WORK/fleet.metrics.jsonl" "$WORK/fleet.trace.json" "$BUILD_DIR/"
 echo "PASS: telemetry artifacts validate; copied into $BUILD_DIR"

@@ -95,89 +95,34 @@ FleetStats Coordinator::serve() {
                                config_.metrics_out);
   }
 
-  while (!stop_.load() &&
-         store_.completed().size() < manifest_.planned_runs) {
-    // ---- wait for sockets or the tick --------------------------------
-    std::vector<pollfd> fds;
-    fds.reserve(connections_.size() + 1);
-    fds.push_back({listener_.fd(), POLLIN, 0});
-    for (const auto& conn : connections_)
-      fds.push_back({conn->msg.socket().fd(), POLLIN, 0});
-    const int timeout_ms =
-        static_cast<int>(config_.tick_seconds * 1000.0) + 1;
-    ::poll(fds.data(), fds.size(), timeout_ms);  // EINTR: just tick early
+  const auto complete = [&] {
+    return store_.completed().size() >= manifest_.planned_runs;
+  };
+  while (!stop_.load() && !complete()) serve_tick();
 
-    // ---- new workers -------------------------------------------------
-    if ((fds[0].revents & POLLIN) != 0) {
-      while (auto socket = listener_.accept(0.0))
-        connections_.push_back(
-            std::make_unique<Connection>(std::move(*socket)));
-    }
-
-    // ---- drain every readable connection -----------------------------
-    for (auto& conn : connections_) {
-      if (conn->defunct) continue;
-      try {
-        std::string line;
-        for (;;) {
-          const net::RecvStatus status = conn->msg.recv_line(&line, 0.0);
-          if (status == net::RecvStatus::kTimeout) break;
-          if (status == net::RecvStatus::kClosed) {
-            conn->defunct = true;
-            break;
-          }
-          handle_message(*conn, line);
-          if (conn->defunct) break;
-        }
-      } catch (const StoreFailure& failure) {
-        std::rethrow_exception(failure.error);
-      } catch (const std::exception& error) {
-        // Socket death or a corrupt stream: this worker is gone. Its
-        // leases go back to pending; the campaign carries on.
-        if (config_.print_progress) std::fprintf(stderr, "\n");
-        DFI_LOG_WARN << "coordinator: dropping "
-                     << (conn->worker.empty() ? "<pre-hello>" : conn->worker)
-                     << ": " << error.what();
-        conn->defunct = true;
-      }
-    }
-
-    // ---- reap dropped connections ------------------------------------
-    for (std::size_t i = 0; i < connections_.size();) {
-      if (!connections_[i]->defunct) {
-        ++i;
-        continue;
-      }
-      for (const std::uint64_t lease_id : connections_[i]->leases)
-        ledger_.release_lease(lease_id, connections_[i]->worker);
-      connections_.erase(connections_.begin() +
-                         static_cast<std::ptrdiff_t>(i));
-    }
-
-    // ---- expire straggler leases (work stealing, half 1) -------------
-    const double now = now_seconds();
-    const auto expired = ledger_.expire(now);
-    if (!expired.empty()) {
-      if (config_.print_progress) std::fprintf(stderr, "\n");
-      for (const Lease& lease : expired)
-        DFI_LOG_WARN << "coordinator: lease " << lease.id << " ("
-                     << lease.worker << ") missed its heartbeat; "
-                     << lease.run_indices.size() << " runs re-queued";
-    }
-
-    update_fleet_gauges(now);
-    maybe_print_progress(now, false);
-    maybe_write_metrics(now, false);
-  }
-
-  // ---- completion: tell everyone, then hang up -----------------------
-  const bool complete = store_.completed().size() == manifest_.planned_runs;
-  for (auto& conn : connections_) {
-    try {
-      if (complete) conn->msg.send_line(encode(CompleteMsg{}));
-    } catch (const std::exception&) {
-      // Peer already gone; nothing to clean up beyond the socket itself.
-    }
+  if (complete()) {
+    // ---- completion: tell everyone, then hang up ---------------------
+    tell_complete_and_hang_up();
+    // ---- end-game grace ----------------------------------------------
+    // A worker that lost its socket (to an earlier coordinator, or to this
+    // one) may still be backing off before its re-hello, and once this
+    // process is gone it would retry until it gave up. So while one may be
+    // out there -- this sitting resumed a non-empty store, or a worker that
+    // said hello is gone and was never sent `complete` -- keep answering
+    // for one heartbeat timeout, the bound on worker silence: its hello is
+    // welcomed, its respooled records are duplicates, and its lease
+    // request is answered with `complete`.
+    const auto worker_may_be_out_there = [&] {
+      if (completed_at_start_ > 0) return true;
+      for (const auto& [worker, threads] : worker_threads_)
+        if (!told_complete_.contains(worker)) return true;
+      return false;
+    };
+    const double grace_until = now_seconds() + config_.heartbeat_timeout;
+    while (!stop_.load() && worker_may_be_out_there() &&
+           now_seconds() < grace_until)
+      serve_tick();
+    tell_complete_and_hang_up();
   }
   connections_.clear();
 
@@ -194,6 +139,89 @@ FleetStats Coordinator::serve() {
   stats_.resumed_runs = completed_at_start_;
   stats_.wall_seconds = now_seconds() - started_;
   return stats_;
+}
+
+void Coordinator::serve_tick() {
+  // ---- wait for sockets or the tick --------------------------------
+  std::vector<pollfd> fds;
+  fds.reserve(connections_.size() + 1);
+  fds.push_back({listener_.fd(), POLLIN, 0});
+  for (const auto& conn : connections_)
+    fds.push_back({conn->msg.socket().fd(), POLLIN, 0});
+  const int timeout_ms = static_cast<int>(config_.tick_seconds * 1000.0) + 1;
+  ::poll(fds.data(), fds.size(), timeout_ms);  // EINTR: just tick early
+
+  // ---- new workers -------------------------------------------------
+  if ((fds[0].revents & POLLIN) != 0) {
+    while (auto socket = listener_.accept(0.0))
+      connections_.push_back(std::make_unique<Connection>(std::move(*socket)));
+  }
+
+  // ---- drain every readable connection -----------------------------
+  for (auto& conn : connections_) {
+    if (conn->defunct) continue;
+    try {
+      std::string line;
+      for (;;) {
+        const net::RecvStatus status = conn->msg.recv_line(&line, 0.0);
+        if (status == net::RecvStatus::kTimeout) break;
+        if (status == net::RecvStatus::kClosed) {
+          conn->defunct = true;
+          break;
+        }
+        handle_message(*conn, line);
+        if (conn->defunct) break;
+      }
+    } catch (const StoreFailure& failure) {
+      std::rethrow_exception(failure.error);
+    } catch (const std::exception& error) {
+      // Socket death or a corrupt stream: this worker is gone. Its leases
+      // go back to pending; the campaign carries on.
+      if (config_.print_progress) std::fprintf(stderr, "\n");
+      DFI_LOG_WARN << "coordinator: dropping "
+                   << (conn->worker.empty() ? "<pre-hello>" : conn->worker)
+                   << ": " << error.what();
+      conn->defunct = true;
+    }
+  }
+
+  // ---- reap dropped connections ------------------------------------
+  for (std::size_t i = 0; i < connections_.size();) {
+    if (!connections_[i]->defunct) {
+      ++i;
+      continue;
+    }
+    for (const std::uint64_t lease_id : connections_[i]->leases)
+      ledger_.release_lease(lease_id, connections_[i]->worker);
+    connections_.erase(connections_.begin() + static_cast<std::ptrdiff_t>(i));
+  }
+
+  // ---- expire straggler leases (work stealing, half 1) -------------
+  const double now = now_seconds();
+  const auto expired = ledger_.expire(now);
+  if (!expired.empty()) {
+    if (config_.print_progress) std::fprintf(stderr, "\n");
+    for (const Lease& lease : expired)
+      DFI_LOG_WARN << "coordinator: lease " << lease.id << " (" << lease.worker
+                   << ") missed its heartbeat; " << lease.run_indices.size()
+                   << " runs re-queued";
+  }
+
+  update_fleet_gauges(now);
+  maybe_print_progress(now, false);
+  maybe_write_metrics(now, false);
+}
+
+void Coordinator::tell_complete_and_hang_up() {
+  for (auto& conn : connections_) {
+    try {
+      conn->msg.send_line(encode(CompleteMsg{}));
+      if (conn->hello_done) told_complete_.insert(conn->worker);
+    } catch (const std::exception&) {
+      // Peer already gone; nothing to clean up beyond the socket itself.
+    }
+  }
+  connections_.clear();
 }
 
 void Coordinator::handle_message(Connection& conn, const std::string& line) {
@@ -251,6 +279,7 @@ void Coordinator::handle_message(Connection& conn, const std::string& line) {
     DFI_SPAN("coord.grant");
     if (store_.completed().size() >= manifest_.planned_runs) {
       conn.msg.send_line(encode(CompleteMsg{}));
+      told_complete_.insert(conn.worker);
       return;
     }
     if (auto lease = ledger_.grant(conn.worker, now_seconds())) {

@@ -26,6 +26,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -77,8 +78,14 @@ class Coordinator {
   std::uint16_t port() const { return listener_.port(); }
 
   /// Serves the fleet until every planned run is durably stored, then
-  /// notifies connected workers (`complete`) and returns. Safe to call on
-  /// an already-complete store (returns immediately). A master-store
+  /// notifies connected workers (`complete`) and returns. When a worker
+  /// may still be reconnecting -- this sitting resumed a non-empty store,
+  /// or a worker that said hello is disconnected and was never sent
+  /// `complete` -- it first keeps serving for up to one heartbeat_timeout
+  /// (the end-game grace): a matching hello is welcomed, respooled records
+  /// are dropped as duplicates, and a lease request gets `complete`. With
+  /// every worker connected at completion it returns at once. Safe to call
+  /// on an already-complete store (returns after the grace). A master-store
   /// failure (an append that throws: disk full, closed stream) stops
   /// serving and is rethrown as is, leaving every record appended before
   /// it for a --resume; individual worker failures never propagate.
@@ -91,6 +98,11 @@ class Coordinator {
  private:
   struct Connection;
 
+  /// One turn of the event loop: poll up to one tick, accept, drain and
+  /// reap connections, expire straggler leases, publish telemetry.
+  void serve_tick();
+  /// Sends `complete` to every connection and closes them all.
+  void tell_complete_and_hang_up();
   void handle_message(Connection& conn, const std::string& line);
   void maybe_print_progress(double now, bool force);
   /// Publishes the fleet.* gauges (planned/completed/pending runs, active
@@ -113,6 +125,7 @@ class Coordinator {
   std::atomic<bool> stop_{false};
   FleetStats stats_;
   std::map<std::string, unsigned> worker_threads_;  ///< hello'd workers
+  std::set<std::string> told_complete_;  ///< workers sent `complete`
   double started_ = 0.0;
   double last_progress_ = -1.0;
   std::size_t completed_at_start_ = 0;

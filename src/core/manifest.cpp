@@ -172,7 +172,10 @@ std::uint64_t scenario_suite_hash(const std::vector<sim::Scenario>& suite) {
   return fnv.hash();
 }
 
-CampaignManifest make_manifest(const Experiment& experiment,
+CampaignManifest make_manifest(const std::vector<sim::Scenario>& scenarios,
+                               const ads::PipelineConfig& pipeline_config,
+                               const ClassifierConfig& classifier_config,
+                               const ExperimentOptions& options,
                                const FaultModel& model,
                                std::string scenario_spec) {
   CampaignManifest m;
@@ -180,14 +183,21 @@ CampaignManifest make_manifest(const Experiment& experiment,
   m.model_params = model.params();
   m.planned_runs = model.run_count();
   m.scenario_spec = std::move(scenario_spec);
-  m.scenario_hash = scenario_suite_hash(experiment.scenarios());
-  m.pipeline_seed = experiment.pipeline_config().seed;
-  m.hold_scenes = experiment.options().hold_scenes;
-  m.config_hash = campaign_config_hash(experiment.pipeline_config(),
-                                       experiment.classifier_config());
-  m.fork_replays = experiment.options().checkpoint_stride > 0;
-  m.checkpoint_stride = experiment.options().checkpoint_stride;
+  m.scenario_hash = scenario_suite_hash(scenarios);
+  m.pipeline_seed = pipeline_config.seed;
+  m.hold_scenes = options.hold_scenes;
+  m.config_hash = campaign_config_hash(pipeline_config, classifier_config);
+  m.fork_replays = options.checkpoint_stride > 0;
+  m.checkpoint_stride = options.checkpoint_stride;
   return m;
+}
+
+CampaignManifest make_manifest(const Experiment& experiment,
+                               const FaultModel& model,
+                               std::string scenario_spec) {
+  return make_manifest(experiment.scenarios(), experiment.pipeline_config(),
+                       experiment.classifier_config(), experiment.options(),
+                       model, std::move(scenario_spec));
 }
 
 }  // namespace drivefi::core

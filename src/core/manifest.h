@@ -32,6 +32,7 @@ namespace drivefi::core {
 class Experiment;
 class FaultModel;
 struct ClassifierConfig;
+struct ExperimentOptions;
 
 /// Serializable campaign identity; the header record of every shard store.
 struct CampaignManifest {
@@ -104,8 +105,20 @@ std::uint64_t scenario_suite_hash(const std::vector<sim::Scenario>& suite);
 std::uint64_t campaign_config_hash(const ads::PipelineConfig& pipeline,
                                    const ClassifierConfig& classifier);
 
-/// Builds the manifest for running `model` on `experiment`.
-/// `scenario_spec` is the provenance string recorded alongside the hash.
+/// Builds the manifest for running `model` over `scenarios` with these
+/// configurations: a function of the campaign's inputs alone, so a process
+/// that only needs the campaign's identity (the fleet coordinator of a
+/// random campaign) never runs golden precompute. `scenario_spec` is the
+/// provenance string recorded alongside the hash.
+CampaignManifest make_manifest(const std::vector<sim::Scenario>& scenarios,
+                               const ads::PipelineConfig& pipeline_config,
+                               const ClassifierConfig& classifier_config,
+                               const ExperimentOptions& options,
+                               const FaultModel& model,
+                               std::string scenario_spec = "unspecified");
+
+/// The manifest for running `model` on `experiment`: the overload above
+/// over the experiment's own inputs.
 CampaignManifest make_manifest(const Experiment& experiment,
                                const FaultModel& model,
                                std::string scenario_spec = "unspecified");

@@ -262,8 +262,9 @@ TEST(Chaos, CoordinatorKilledAndResumedMidCampaignMergesBitIdentical) {
   expect_bit_identical(master_path, ref, "coordinator kill+resume");
 }
 
-/// A master store whose `fail_at`-th append throws, as a full disk would;
-/// every other call goes to the store it wraps.
+/// A master store whose `fail_at`-th append throws, as a full disk would
+/// (0: none does); every other call goes to the store it wraps. It notes
+/// when its last append returned.
 class FailingStore : public ShardStore {
  public:
   FailingStore(ShardStore& inner, std::size_t fail_at)
@@ -280,14 +281,17 @@ class FailingStore : public ShardStore {
     if (++appends_ == fail_at_)
       throw std::runtime_error("injected store failure: disk full");
     inner_.append(record);
+    last_append_ = Clock::now();
   }
 
   std::size_t appends() const { return appends_; }
+  Clock::time_point last_append() const { return last_append_; }
 
  private:
   ShardStore& inner_;
   std::size_t fail_at_;
   std::size_t appends_ = 0;
+  Clock::time_point last_append_;
 };
 
 TEST(Chaos, MasterStoreFailureStopsTheCoordinatorNotAWorker) {
@@ -356,6 +360,93 @@ TEST(Chaos, MasterStoreFailureStopsTheCoordinatorNotAWorker) {
   EXPECT_FALSE(wb.gave_up);
   EXPECT_EQ(master->completed().size(), model.run_count());
   expect_bit_identical(master_path, ref, "store failure + resume");
+}
+
+TEST(Chaos, CoordinatorResumedOnACompleteStoreStillCompletesALateWorker) {
+  // The coordinator died after the campaign's last record, so its
+  // successor resumes a complete store. A worker still backing off from
+  // the first coordinator re-hellos after that; it must be told `complete`
+  // and exit cleanly, not retry until it gives up. The coordinator is
+  // destroyed the moment serve() returns, as the daemon exits.
+  const Experiment experiment = make_experiment(1);
+  const RandomValueModel model(6, 91);
+  const CampaignManifest manifest = make_manifest(experiment, model, "test");
+  const std::string master_path =
+      temp_path("drivefi_chaos_complete_master.jsonl");
+  {
+    ShardResultStore first_sitting(master_path, manifest,
+                                   StoreOpenMode::kOverwrite);
+    experiment.run_shard(model, first_sitting);
+  }
+  ShardResultStore master(master_path, manifest, StoreOpenMode::kResume);
+  ASSERT_EQ(master.completed().size(), model.run_count());
+
+  auto coordinator = std::make_unique<coord::Coordinator>(
+      manifest, master, chaos_coordinator_config());
+  const std::uint16_t port = coordinator->port();
+  coord::FleetStats fleet;
+  std::thread serve([&] {
+    fleet = coordinator->serve();
+    coordinator.reset();
+  });
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  coord::WorkerClient worker(experiment, model, "test",
+                             chaos_worker_config("late", port, nullptr));
+  const coord::WorkerStats stats = worker.run();
+  serve.join();
+
+  EXPECT_FALSE(stats.gave_up) << "the late worker was stranded";
+  EXPECT_EQ(stats.runs_executed, 0u);
+  EXPECT_EQ(fleet.resumed_runs, model.run_count());
+  EXPECT_EQ(fleet.runs_completed, 0u);
+}
+
+TEST(Chaos, FreshFleetAllConnectedReturnsWithinOneTickOfItsLastRecord) {
+  // The end-game grace is only for workers that may be out there. A fresh
+  // campaign whose workers are all connected at its end has none, so
+  // serve() returns at once: within one tick of the last durable record,
+  // not after a heartbeat timeout.
+  const Experiment experiment = make_experiment(1);
+  const RandomValueModel model(8, 93);
+  const CampaignManifest manifest = make_manifest(experiment, model, "test");
+  ShardResultStore inner(temp_path("drivefi_chaos_fresh_master.jsonl"),
+                         manifest, StoreOpenMode::kOverwrite);
+  FailingStore master(inner, /*fail_at=*/0);
+  coord::CoordinatorConfig config = chaos_coordinator_config();
+  config.tick_seconds = 0.25;
+  config.heartbeat_timeout = 5.0;
+  coord::Coordinator coordinator(manifest, master, config);
+
+  Clock::time_point returned;
+  std::thread serve([&] {
+    coordinator.serve();
+    returned = Clock::now();
+  });
+  coord::WorkerStats wa, wb;
+  std::thread ta([&] {
+    coord::WorkerClient worker(
+        experiment, model, "test",
+        chaos_worker_config("fA", coordinator.port(), nullptr));
+    wa = worker.run();
+  });
+  std::thread tb([&] {
+    coord::WorkerClient worker(
+        experiment, model, "test",
+        chaos_worker_config("fB", coordinator.port(), nullptr));
+    wb = worker.run();
+  });
+  ta.join();
+  tb.join();
+  serve.join();
+
+  ASSERT_EQ(inner.completed().size(), model.run_count());
+  EXPECT_FALSE(wa.gave_up);
+  EXPECT_FALSE(wb.gave_up);
+  EXPECT_LT(std::chrono::duration<double>(returned - master.last_append())
+                .count(),
+            config.tick_seconds)
+      << "serve() lingered after the last record of a fully connected fleet";
 }
 
 TEST(Chaos, MultiFailureStormStillMergesBitIdenticalAndCountsFaults) {

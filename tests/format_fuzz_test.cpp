@@ -7,7 +7,8 @@
 // run under ASan/UBSan in CI), and the JSONL side (run-record lines, the
 // manifest parser, and the shared strict numeric parsers of core/jsonl.h)
 // under the same seeded mutation treatment, plus the campaign CLIs'
-// numeric flags, which validate through those parsers.
+// numeric flags, which validate through those parsers, and the manifest
+// line a coordinator and a worker each build from the same flags.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -18,11 +19,13 @@
 #include <vector>
 
 #include "../examples/campaign_cli.h"
+#include "coord/protocol.h"
 #include "core/binary_store.h"
 #include "core/jsonl.h"
 #include "core/manifest.h"
 #include "core/record_codec.h"
 #include "core/result_store.h"
+#include "obs/metrics.h"
 #include "util/bits.h"
 #include "util/rng.h"
 
@@ -381,6 +384,70 @@ TEST(FormatFuzz, ShardPortAndSecondsFlagsRefuseTypos) {
   }
   EXPECT_EQ(parse_seconds("--metrics-interval", "0.2"), 0.2);
   EXPECT_EQ(parse_seconds("--reconnect-base-delay", "0"), 0.0);
+}
+
+TEST(FormatFuzz, UnknownModelExitsBeforeTheCorpusIsRead) {
+  // All three campaign CLIs build their Campaign before they open a store
+  // or bind a port, and the Campaign checks the model name first: with a
+  // corpus that does not exist, a later check would fail on the missing
+  // file instead.
+  campaign_cli::CampaignArgs args;
+  args.model_name = "nope";
+  args.scn_path = temp_path("no_such_suite.scn");
+  EXPECT_EXIT(campaign_cli::Campaign(args, false),
+              ::testing::ExitedWithCode(2), "^error: unknown model nope\n$");
+}
+
+TEST(FormatFuzz, CoordinatorManifestEqualsTheWorkersByteForByte) {
+  // The coordinator builds its manifest from the campaign's inputs and
+  // runs no golden simulation for a random model; a worker builds it from
+  // an Experiment. Any byte of difference is a hash mismatch at hello, so
+  // every flag that reaches the manifest is checked both ways. Only the
+  // Bayesian model simulates (one golden run per scenario), because its
+  // manifest pins the replay list its selection picks from the goldens.
+  const std::string scn =
+      std::string(DRIVEFI_SOURCE_DIR) + "/examples/scenarios/base_suite.scn";
+  const std::vector<std::vector<std::string>> variants = {
+      {},
+      {"--scenarios", "2"},
+      {"--scn", scn, "--scenarios", "2"},
+      {"--scenarios", "2", "--pipeline-seed", "9"},
+      {"--scenarios", "2", "--checkpoint-stride", "0"},
+      {"--scenarios", "2", "--checkpoint-stride", "16"},
+  };
+  const auto golden_runs = [] {
+    return obs::metrics().counter("experiment.golden_runs").value();
+  };
+  for (const char* model : {"random-value", "random-bitflip", "bayesian"}) {
+    for (const std::vector<std::string>& flags : variants) {
+      std::vector<std::string> argv = {"--model", model, "--runs", "24"};
+      argv.insert(argv.end(), flags.begin(), flags.end());
+      std::string label;
+      for (const std::string& arg : argv) label += arg + " ";
+      campaign_cli::CampaignArgs args;
+      for (std::size_t i = 0; i < argv.size(); i += 2) {
+        const char* value = argv[i + 1].c_str();
+        ASSERT_TRUE(campaign_cli::parse_campaign_flag(
+            args, argv[i], [value] { return value; }))
+            << label;
+      }
+
+      const std::uint64_t before = golden_runs();
+      campaign_cli::Campaign campaign(args, /*quiet=*/true);
+      const CampaignManifest coordinator = campaign.manifest();
+      const std::size_t scenarios = flags.empty() ? 12 : 2;
+      EXPECT_EQ(golden_runs() - before,
+                std::string(model) == "bayesian" ? scenarios : 0u)
+          << label;
+
+      const CampaignManifest worker = make_manifest(
+          campaign.experiment(), campaign.model(), campaign.scenario_spec());
+      EXPECT_EQ(coordinator.to_jsonl(), worker.to_jsonl()) << label;
+      EXPECT_EQ(coord::manifest_compat_hash(coordinator),
+                coord::manifest_compat_hash(worker))
+          << label;
+    }
+  }
 }
 
 TEST(FormatFuzz, RunRecordLineMutationsParseOrThrow) {
