@@ -199,6 +199,9 @@ int cmd_run(int argc, char** argv) {
   std::printf("shard %zu/%zu of %zu planned runs -> %s (%s)\n", shard.index,
               shard.count, manifest.planned_runs, store_path.c_str(),
               core::store_format_name(store_format));
+  // Flushed, like drivefi_campaignd's `coordinator listening` line, so a
+  // reader on a pipe or a file sees that replays can start.
+  std::fflush(stdout);
   core::ProgressSink progress_sink(std::cerr);
   std::vector<core::ResultSink*> sinks;
   if (progress) sinks.push_back(&progress_sink);
@@ -277,6 +280,7 @@ int cmd_worker(int argc, char** argv) {
   std::printf("worker %s: local store %s, connecting to %s:%u\n",
               worker.config().name.c_str(), worker.config().store_path.c_str(),
               worker.config().host.c_str(), worker.config().port);
+  std::fflush(stdout);
   const coord::WorkerStats stats = worker.run();
   std::fprintf(stderr, "%s\n",
                obs::telemetry_jsonl(stats.wall_seconds).c_str());

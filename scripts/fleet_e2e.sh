@@ -101,6 +101,13 @@ COORD_KILLED=0
 if kill -9 "$COORD_PID" 2>/dev/null; then
   COORD_KILLED=1
   echo "SIGKILLed coordinator (pid $COORD_PID) after $((LINES_AT_KILL - 1)) records"
+  # Stored records mean every worker is past start-up. Each flushes its
+  # `connecting to` line before it connects, so its log already shows it.
+  for w in 1 2 3; do
+    grep -q "connecting to" "$WORK/w$w.log" || {
+      echo "FAIL: worker w$w's log lacks its 'connecting to' line while it runs"
+      exit 1; }
+  done
 else
   echo "WARN: coordinator finished before the kill landed; resume is degenerate"
 fi

@@ -20,36 +20,43 @@ struct StoppingDistance {
   double stop_time = 0.0;     // s, time to standstill
 };
 
-// P's internal RK4 step (s). A step is cut short to land on each mode
-// switch and kink, and is at most L / (1.2 v) while the steering slides
-// below the friction cap, where the lane-hold loop is stiff.
+// P's RK4 step (s) while the steering slews below the friction cap, the
+// one regime P integrates numerically. A step is cut short to land on the
+// slew's events: it meets the lane-hold command, the cap starts to bind,
+// or v falls to 1 m/s.
 inline constexpr double kStopStep = 0.05;
 
-// Most mode switches and kinks one call of P lands on. Past it P stops
-// landing on them and lets the steering follow the lane-hold command, so a
-// call always ends. A stop lands on a handful; a slew rate near 1e-3
-// rad/s makes the steering oscillate about the command with shrinking
-// swings before it slides, and the worst such input found needs ~100.
+// Most segment boundaries one call of P finds. Past it P stops finding
+// them and lets the steering follow the lane-hold command, which ends the
+// stop in at most four closed-form segments, so a call always ends. A
+// stop finds a handful. A slow slew makes the steering oscillate about the
+// command with shrinking swings before it slides: of 200,000 random inputs
+// with rates from 1e-4 to 0.1 rad/s, the worst finds 29.
 inline constexpr int kMaxStopEvents = 256;
 
 // What one call of P did, for tests that must show each path ran.
 struct StopEvents {
-  int slews = 0;          // segments where the steering slews at the rate
-  int slides = 0;         // segments where it slides on the lane-hold command
+  int slews = 0;          // times the steering starts to slew at the rate
+  int slides = 0;         // times it starts to slide on the lane-hold command
   int slide_exits = 0;    // slides left because the command outran the rate
-  int cap_kinks = 0;      // steps landed where the friction cap binds or lets go
-  bool low_speed = false; // a step landed on v = 1 m/s
-  int switches = 0;       // every landing above, against kMaxStopEvents
+  int cap_kinks = 0;      // times the friction cap starts or stops binding
+  bool low_speed = false; // a segment ended at v = 1 m/s
+  int rk4_steps = 0;      // RK4 steps of a slew below the cap
+  int capped_arcs = 0;    // closed-form segments while the cap binds
+  int held_arcs = 0;      // closed-form segments at a held steering angle
+  bool slid_to_stop = false;  // the stop ended in the closed-form slide
+  int switches = 0;       // every segment boundary, against kMaxStopEvents
 };
 
-// The paper's procedure P (eq. (7)): numerical integration of the reduced
-// system (6) from the initial kinematic state, as a hybrid system (docs/
+// The paper's procedure P (eq. (7)): the reduced system (6) from the
+// initial kinematic state to standstill, as a hybrid system (docs/
 // ARCHITECTURE.md, "Procedure P steers to hold the lane"). The steering
 // either slews at steering_release_rate (rad/s) or slides on the lane-hold
-// command; RK4 steps of kStopStep land exactly on every switch between the
-// two, on every friction-cap kink and on v = 1 m/s. Each call's wall time
-// is observed into the `kinematics.stopping_distance_seconds` histogram
-// (obs/metrics.h); `events`, if given, receives what the call did.
+// command. P solves every segment in closed form (the three functions
+// below) except a slew below the friction cap, which it integrates with
+// RK4 steps of kStopStep. Each call's wall time is observed into the
+// `kinematics.stopping_distance_seconds` histogram (obs/metrics.h);
+// `events`, if given, receives what the call did.
 //
 // Deviation from eq. (5): the stop brakes with lane-hold steering (the
 // actuator slews at steering_release_rate, rad/s, toward a command that
@@ -61,12 +68,35 @@ StoppingDistance stopping_distance(double amax, double v0, double theta0,
                                    double steering_release_rate = 0.8,
                                    StopEvents* events = nullptr);
 
+// Position and heading in the lane frame.
+struct StopPose {
+  double x = 0.0;
+  double y = 0.0;
+  double theta = 0.0;
+};
+
+// P's closed-form segments, exposed so tests can check each one against
+// its own ODE. Each advances `p` while the vehicle brakes at amax.
+//
+// The steering slides on the unclamped lane-hold command -1.2 theta below
+// the friction cap, from speed v to standstill: in arc length s,
+// sin(1.2 theta) = sin(1.2 theta_a) exp(-1.2 s / L).
+StopPose slide_to_stop(const StopPose& p, double v, double amax,
+                       double wheelbase);
+// The friction cap binds, with applied steering sign * atan(0.7 amax L /
+// v^2) (sign +1 or -1), from speed va down to vb: theta = theta_a -
+// 0.7 sign ln(v / va).
+StopPose capped_arc(const StopPose& p, double va, double vb, double amax,
+                    int sign);
+// The steering is held at phi below the cap for an arc length s: the
+// heading turns by tan(phi) / L per metre.
+StopPose held_arc(const StopPose& p, double s, double phi, double wheelbase);
+
 // Smallest emergency-stop deceleration (m/s^2) accepted from input files
 // (`.scn` ego_params amax_comfort, a fitted predictor's amax). A stop lasts
-// v0 / amax, so with speeds clamped to 150 m/s the floor caps one call at
-// 150 / 1 / kStopStep = 3,000 full steps, plus the stiff-slide steps above
-// L / (1.2 kStopStep) m/s and kMaxStopEvents landings; below it a
-// campaign stalls.
+// v0 / amax, so with speeds clamped to 150 m/s the floor caps a slew's RK4
+// at 150 / 1 / kStopStep = 3,000 full steps, plus kMaxStopEvents segment
+// boundaries; below it a campaign stalls.
 inline constexpr double kMinStopDecel = 1.0;
 
 // Convenience overload from a vehicle state.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "kinematics/bicycle.h"
 #include "kinematics/safety.h"
@@ -108,13 +109,17 @@ TEST(Bicycle, Rk4ConvergenceOrder) {
 // ---------- Stopping distance ----------
 
 TEST(Stopping, MatchesClosedFormStraight) {
-  for (double v0 : {5.0, 10.0, 20.0, 33.5, 40.0}) {
-    const StoppingDistance d = stopping_distance(6.0, v0, 0.0, 0.0, 2.8);
-    EXPECT_NEAR(d.longitudinal, stopping_distance_straight(6.0, v0),
-                1e-4 * stopping_distance_straight(6.0, v0) + 1e-6)
-        << "v0=" << v0;
-    EXPECT_NEAR(d.lateral, 0.0, 1e-9);
-    EXPECT_NEAR(d.stop_time, v0 / 6.0, 1e-12);
+  // A straight stop is one closed-form segment, sliding or frozen, so it is
+  // v0^2 / (2 amax) to the bit.
+  for (double v0 : {0.5, 1.0, 5.0, 10.0, 20.0, 33.5, 40.0, 150.0}) {
+    for (double release : {0.8, 0.0}) {
+      const StoppingDistance d =
+          stopping_distance(6.0, v0, 0.0, 0.0, 2.8, release);
+      EXPECT_EQ(d.longitudinal, stopping_distance_straight(6.0, v0))
+          << "v0=" << v0 << " release=" << release;
+      EXPECT_EQ(d.lateral, 0.0);
+      EXPECT_EQ(d.stop_time, v0 / 6.0);
+    }
   }
 }
 
@@ -173,12 +178,212 @@ TEST(Stopping, SteeringReleaseBoundsLateralExcursion) {
   EXPECT_GT(std::abs(frozen.lateral), 5.0);
 }
 
+// ---------- P's closed-form segments ----------
+
+// Fine fixed-step RK4 of each closed-form segment's own ODE, in the
+// variable the segment runs on. Position and heading accumulate in long
+// double, so that summing up to ~10^5 steps of an 11 km path keeps its
+// rounding well below the 1e-9 m bound.
+namespace segment_reference {
+
+using Real = long double;
+
+struct Rates {
+  double x, y, theta;
+};
+
+// RK4 of (x, y, theta) from u0 to u1 in `steps` equal steps, where
+// rate(u, theta) gives the derivatives.
+template <class Rate>
+StopPose rk4(const StopPose& p, double u0, double u1, long steps,
+             const Rate& rate) {
+  Real x = p.x, y = p.y, theta = p.theta;
+  const Real h = (static_cast<Real>(u1) - u0) / steps;
+  for (long i = 0; i < steps; ++i) {
+    const Real u = u0 + h * i;
+    const auto at = [&](Real du, Real th) {
+      return rate(static_cast<double>(u + du), static_cast<double>(th));
+    };
+    const Rates k1 = at(0, theta);
+    const Rates k2 = at(h / 2, theta + h / 2 * k1.theta);
+    const Rates k3 = at(h / 2, theta + h / 2 * k2.theta);
+    const Rates k4 = at(h, theta + h * k3.theta);
+    x += h / 6 * (Real(k1.x) + 2 * Real(k2.x) + 2 * Real(k3.x) + k4.x);
+    y += h / 6 * (Real(k1.y) + 2 * Real(k2.y) + 2 * Real(k3.y) + k4.y);
+    theta += h / 6 * (Real(k1.theta) + 2 * Real(k2.theta) +
+                      2 * Real(k3.theta) + k4.theta);
+  }
+  return StopPose{static_cast<double>(x), static_cast<double>(y),
+                  static_cast<double>(theta)};
+}
+
+// Sliding on -1.2 theta, in arc length s: dtheta/ds = -tan(1.2 theta) / L,
+// over the path v^2 / (2 amax), 2 mm steps per metre of wheelbase. Once
+// |theta| < 1e-18 rad, the rest of the path adds its length to x and under
+// 1e-17 m to y, so the integration stops there.
+StopPose slide_to_stop(const StopPose& p, double v, double amax,
+                       double wheelbase) {
+  const double path = v * v / (2.0 * amax);
+  const auto rate = [&](double, double theta) {
+    return Rates{std::cos(theta), std::sin(theta),
+                 -std::tan(1.2 * theta) / wheelbase};
+  };
+  constexpr double kChunk = 1.0;  // m, between tests of |theta|
+  const double ds = 2e-3 * wheelbase;
+  StopPose q = p;
+  double s = 0.0;
+  while (s < path && std::abs(q.theta) >= 1e-18) {
+    const double next = std::min(path, s + kChunk);
+    q = rk4(q, s, next,
+            std::max(1L, std::lround(std::ceil((next - s) / ds))), rate);
+    s = next;
+  }
+  q.x += path - s;
+  return q;
+}
+
+// Under the cap, in time: v = va - amax t and the applied steering is
+// sign * atan(0.7 amax L / v^2), so theta moves by at most 1e-3 rad a step.
+StopPose capped_arc(const StopPose& p, double va, double vb, double amax,
+                    int sign) {
+  const double wheelbase = 2.0;  // cancels out of the yaw rate
+  const auto rate = [&](double t, double theta) {
+    const double v = va - amax * t;
+    const double steer = sign * std::atan(0.7 * amax * wheelbase / (v * v));
+    return Rates{v * std::cos(theta), v * std::sin(theta),
+                 v * std::tan(steer) / wheelbase};
+  };
+  const double duration = (va - vb) / amax;
+  const double dt = std::min(1e-3, 1e-3 * vb / (0.7 * amax));
+  return rk4(p, 0.0, duration,
+             std::max(1L, std::lround(std::ceil(duration / dt))), rate);
+}
+
+// Held steering, in arc length s: dtheta/ds = tan(phi) / L, with the
+// heading turning by at most 1e-3 rad a step and steps of at most 1 m.
+StopPose held_arc(const StopPose& p, double s, double phi, double wheelbase) {
+  const double curvature = std::tan(phi) / wheelbase;
+  const auto rate = [&](double, double theta) {
+    return Rates{std::cos(theta), std::sin(theta), curvature};
+  };
+  const double ds = std::min(1.0, 1e-3 / std::max(1e-300, std::abs(curvature)));
+  return rk4(p, 0.0, s, std::max(1L, std::lround(std::ceil(s / ds))), rate);
+}
+
+}  // namespace segment_reference
+
+constexpr double kSegmentBound = 1e-9;  // m
+constexpr double kClampHeading = 0.55 / 1.2;
+
+void expect_same_position(const StopPose& got, const StopPose& want,
+                          int input) {
+  EXPECT_NEAR(got.x, want.x, kSegmentBound) << "x, input " << input;
+  EXPECT_NEAR(got.y, want.y, kSegmentBound) << "y, input " << input;
+}
+
+TEST(StopSegments, SlideToStopMatchesItsOdeOnSeededSweep) {
+  // Gauss-Legendre over w = exp(-1.2 s / L). The sweep reaches the
+  // clamp's heading, speeds at and below 1 m/s, the deceleration floor, and
+  // the longest stop P runs, 150 m/s at 1 m/s^2: 11,250 m, where
+  // exp(-1.2 S / L) underflows to 0.
+  struct Input {
+    double v, amax, wheelbase, theta;
+  };
+  std::vector<Input> inputs = {
+      {150.0, kMinStopDecel, 1.0, kClampHeading},
+      {150.0, kMinStopDecel, 5.0, -kClampHeading},
+      {33.5, 6.0, 2.8, kClampHeading},
+      {1.0, kMinStopDecel, 2.8, -kClampHeading},
+      {1.0, 6.0, 2.8, 0.3},
+      {0.5, 6.0, 2.8, 0.2},
+      {0.0, 6.0, 2.8, 0.2},
+      {27.0, 6.0, 2.8, 1e-12},
+  };
+  util::Rng rng(31);
+  for (int i = 0; i < 40; ++i)
+    inputs.push_back({rng.bernoulli(0.2) ? rng.uniform(0.0, 1.0)
+                                         : rng.uniform(1.0, 60.0),
+                      rng.uniform(kMinStopDecel, 15.0), rng.uniform(1.0, 5.0),
+                      rng.uniform(-kClampHeading, kClampHeading)});
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const Input& in = inputs[i];
+    const StopPose start{rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0),
+                         in.theta};
+    expect_same_position(
+        slide_to_stop(start, in.v, in.amax, in.wheelbase),
+        segment_reference::slide_to_stop(start, in.v, in.amax, in.wheelbase),
+        static_cast<int>(i));
+  }
+}
+
+TEST(StopSegments, CappedArcMatchesItsOdeOnSeededSweep) {
+  // theta = theta_a - 0.7 sign ln(v / va), with x and y from the
+  // antiderivatives of v cos(theta) and v sin(theta). The sweep reaches
+  // the speed clamp, the deceleration floor, and ends at and below 1 m/s.
+  struct Input {
+    double va, vb, amax, theta;
+    int sign;
+  };
+  std::vector<Input> inputs = {
+      {150.0, 1.0, kMinStopDecel, 0.8, -1},
+      {150.0, 1.0, 15.0, -0.3, 1},
+      {150.0, 149.9999, kMinStopDecel, 0.1, 1},
+      {27.0, 1.0, 6.0, kClampHeading, -1},
+      {4.0, 0.5, 6.0, -kClampHeading, 1},
+      {27.0, 26.0, 6.0, 0.0, 1},
+  };
+  util::Rng rng(37);
+  for (int i = 0; i < 30; ++i) {
+    const double va = rng.uniform(1.0, 60.0);
+    inputs.push_back({va, rng.uniform(1.0, va), rng.uniform(kMinStopDecel, 15.0),
+                      rng.uniform(-1.5, 1.5), rng.bernoulli(0.5) ? 1 : -1});
+  }
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const Input& in = inputs[i];
+    const StopPose start{rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0),
+                         in.theta};
+    const StopPose got = capped_arc(start, in.va, in.vb, in.amax, in.sign);
+    const StopPose want =
+        segment_reference::capped_arc(start, in.va, in.vb, in.amax, in.sign);
+    expect_same_position(got, want, static_cast<int>(i));
+    EXPECT_NEAR(got.theta, want.theta, 1e-12) << "theta, input " << i;
+  }
+}
+
+TEST(StopSegments, HeldArcMatchesItsOdeOnSeededSweep) {
+  // The heading turns linearly in arc length: frozen steering at any angle
+  // P accepts, and a slide held on the command's +-0.55 rad clamp.
+  struct Input {
+    double s, phi, wheelbase, theta;
+  };
+  std::vector<Input> inputs = {
+      {11'250.0, 0.0, 2.8, 0.3},        {11'250.0, 1e-4, 5.0, -0.02},
+      {300.0, 1.0, 1.0, 0.0},           {93.5, 0.55, 2.8, -1.0},
+      {93.5, -0.55, 2.8, 1.0},          {0.0, 0.3, 2.8, 0.1},
+      {1e-9, -1.0, 1.0, 0.4},
+  };
+  util::Rng rng(41);
+  for (int i = 0; i < 30; ++i)
+    inputs.push_back({rng.uniform(0.0, 200.0), rng.uniform(-1.0, 1.0),
+                      rng.uniform(1.0, 5.0), rng.uniform(-1.5, 1.5)});
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const Input& in = inputs[i];
+    const StopPose start{rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0),
+                         in.theta};
+    const StopPose got = held_arc(start, in.s, in.phi, in.wheelbase);
+    const StopPose want =
+        segment_reference::held_arc(start, in.s, in.phi, in.wheelbase);
+    expect_same_position(got, want, static_cast<int>(i));
+    EXPECT_NEAR(got.theta, want.theta, 1e-9) << "theta, input " << i;
+  }
+}
+
 // Reference copy of procedure P in its per-stage formulation: fixed RK4
 // steps in which every stage slews the steering at the full rate toward the
 // lane-hold command (bang-bang, with a 1e-12 rad deadband) and evaluates its
 // own friction cap. At fine steps the slew chatters about the command, and
-// as dt -> 0 it converges to the sliding solution the library integrates
-// with far larger steps; the sweep below bounds the difference. Every
+// as dt -> 0 it converges to the sliding solution the library solves
+// segment by segment; the sweep below bounds the difference. Every
 // determinism check compares paths within one build, so only a fixed
 // reference like this one catches a change to P that moves all paths alike.
 namespace reference_p {
@@ -255,8 +460,8 @@ StoppingDistance stopping_distance(double amax, double v0, double theta0,
 }  // namespace reference_p
 
 TEST(Stopping, WithinTwoMillimetresOfConvergedReferenceOnSeededSweep) {
-  // P integrates the sliding limit of the reference's chatter in 50 ms
-  // steps. Both components stay within 2 mm of the reference at 50 us, and
+  // P solves the sliding limit of the reference's chatter, in closed form
+  // except where the steering slews below the cap. Both components stay within 2 mm of the reference at 50 us, and
   // the reference at 50 us is itself within 0.25 mm of its value at
   // 12.5 us, so 50 us is converged to this budget. The stop time is
   // bit-identical. The reference costs ~4 ms per simulated second, so the
@@ -278,7 +483,8 @@ TEST(Stopping, WithinTwoMillimetresOfConvergedReferenceOnSeededSweep) {
   util::Rng rng(20191);
   const VehicleParams defaults;
   int input = 0, slewed = 0, slid = 0, left_slide = 0, cap_kink = 0,
-      low_speed = 0, frozen = 0;
+      low_speed = 0, frozen = 0, stepped = 0, capped = 0, held = 0,
+      slid_to_stop = 0;
   double worst_lon = 0.0, worst_lat = 0.0, worst_convergence = 0.0;
   for (const Slice& slice : kSlices) {
     for (int i = 0; i < slice.inputs; ++i, ++input) {
@@ -359,6 +565,10 @@ TEST(Stopping, WithinTwoMillimetresOfConvergedReferenceOnSeededSweep) {
       left_slide += events.slide_exits > 0;
       cap_kink += events.cap_kinks > 0;
       low_speed += events.low_speed;
+      stepped += events.rk4_steps > 0;
+      capped += events.capped_arcs > 0;
+      held += events.held_arcs > 0;
+      slid_to_stop += events.slid_to_stop;
       if (release == 0.0) {
         ++frozen;
         EXPECT_EQ(events.slews + events.slides, 0) << "input " << input;
@@ -369,13 +579,20 @@ TEST(Stopping, WithinTwoMillimetresOfConvergedReferenceOnSeededSweep) {
   RecordProperty("worst_lateral_m", ::testing::PrintToString(worst_lat));
   RecordProperty("worst_reference_convergence_m",
                  ::testing::PrintToString(worst_convergence));
-  // Each path of the hybrid integration ran on many inputs.
+  // Each path of the hybrid integration ran on many inputs: every kind of
+  // closed-form segment, and RK4 where the steering slews below the cap. A
+  // stop that ends in the closed-form slide never reaches v = 1 m/s as a
+  // boundary, so few stops do.
   EXPECT_GT(slewed, input / 2);
   EXPECT_GT(slid, input / 2);
   EXPECT_GT(left_slide, 10);
   EXPECT_GT(cap_kink, input / 4);
-  EXPECT_GT(low_speed, input / 2);
+  EXPECT_GT(low_speed, input / 10);
   EXPECT_GT(frozen, 10);
+  EXPECT_GT(stepped, input / 2);
+  EXPECT_GT(capped, input / 4);
+  EXPECT_GT(held, 10);
+  EXPECT_GT(slid_to_stop, input / 2);
 }
 
 TEST(Stopping, TerminatesAndStaysPhysicalAtScnLegalExtremes) {
