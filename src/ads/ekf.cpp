@@ -54,7 +54,29 @@ void LocalizationEkf::predict(const ImuMsg& imu, double dt) {
   q(2, 2) = config_.process_heading_sigma * config_.process_heading_sigma * dt;
   q(3, 3) = config_.process_speed_sigma * config_.process_speed_sigma * dt;
 
-  p_ = f * p_ * f.transposed() + q;
+  // F is the identity but for its top-right 2x2 block, so F P adds that
+  // block's multiples of P's last two rows to its first two, and (F P) F^T
+  // does the same to columns. Every entry of F P sums an entry of P, and
+  // the block's entries multiply P's, so F P is finite only if P and F are.
+  // Then the terms left out, x * 0.0, change no bit (see util::all_finite).
+  Mat4 fp;
+  for (std::size_t c = 0; c < 4; ++c) {
+    fp(0, c) = 0.0 + p_(0, c) + f(0, 2) * p_(2, c) + f(0, 3) * p_(3, c);
+    fp(1, c) = 0.0 + p_(1, c) + f(1, 2) * p_(2, c) + f(1, 3) * p_(3, c);
+    fp(2, c) = 0.0 + p_(2, c);
+    fp(3, c) = 0.0 + p_(3, c);
+  }
+  if (!util::all_finite(fp)) {
+    p_ = f * p_ * f.transposed() + q;
+    return;
+  }
+  for (std::size_t r = 0; r < 4; ++r) {
+    p_(r, 0) = 0.0 + fp(r, 0) + fp(r, 2) * f(0, 2) + fp(r, 3) * f(0, 3);
+    p_(r, 1) = 0.0 + fp(r, 1) + fp(r, 2) * f(1, 2) + fp(r, 3) * f(1, 3);
+    p_(r, 2) = 0.0 + fp(r, 2);
+    p_(r, 3) = 0.0 + fp(r, 3);
+  }
+  p_ += q;
 }
 
 bool LocalizationEkf::update_gps(const GpsMsg& gps) {
@@ -75,7 +97,11 @@ bool LocalizationEkf::update_gps(const GpsMsg& gps) {
   const util::Vec<3> innovation{
       {gps.x - x_[0], gps.y - x_[1], wrap_angle(gps.heading - x_[2])}};
 
-  const util::Mat<3, 3> s = h * p_ * h.transposed() + r;
+  // The products that leave out H's zeros need a finite P, and the
+  // covariance's a finite K too; otherwise the dense products run.
+  const bool finite_p = util::all_finite(p_);
+  const util::Mat<3, 3> s = finite_p ? util::leading_block<3>(p_) + r
+                                     : h * p_ * h.transposed() + r;
   const util::Lu s_lu(s);
   if (s_lu.singular()) return false;
 
@@ -85,11 +111,15 @@ bool LocalizationEkf::update_gps(const GpsMsg& gps) {
   const double mahalanobis2 = innovation.dot(weighted);
   if (mahalanobis2 > config_.gate * config_.gate) return false;
 
-  const util::Mat<4, 3> k = p_ * h.transposed() * s_lu.inverse();
+  const util::Mat<4, 3> k =
+      (finite_p ? util::leading_columns<3>(p_) : p_ * h.transposed()) *
+      s_lu.inverse();
   x_ += k * innovation;
   x_[2] = wrap_angle(x_[2]);
   x_[3] = std::max(0.0, x_[3]);
-  p_ = (Mat4::identity() - k * h) * p_;
+  p_ = finite_p && util::all_finite(k)
+           ? util::identity_minus_kh_times(k, p_)
+           : (Mat4::identity() - k * h) * p_;
   return true;
 }
 
@@ -102,10 +132,28 @@ bool LocalizationEkf::update_speed(double speed) {
   const double innovation = speed - x_[3];
   if (innovation * innovation / s > config_.gate * config_.gate) return false;
 
-  const util::Mat<4, 1> k = (1.0 / s) * (p_ * h.transposed());
+  // H picks v, so P H^T is P's last column, and (I - K H) P subtracts K
+  // times P's last row. Leaving out H's zeros needs a finite P, and for
+  // the covariance a finite K too; otherwise the dense products run.
+  const bool finite_p = util::all_finite(p_);
+  util::Mat<4, 1> k;
+  if (finite_p) {
+    for (std::size_t i = 0; i < 4; ++i) k(i, 0) = (0.0 + p_(i, 3)) * (1.0 / s);
+  } else {
+    k = (1.0 / s) * (p_ * h.transposed());
+  }
   for (std::size_t i = 0; i < 4; ++i) x_[i] += k(i, 0) * innovation;
   x_[3] = std::max(0.0, x_[3]);
-  p_ = (Mat4::identity() - k * h) * p_;
+  if (!finite_p || !util::all_finite(k)) {
+    p_ = (Mat4::identity() - k * h) * p_;
+    return true;
+  }
+  for (std::size_t c = 0; c < 4; ++c) {
+    const double p3 = p_(3, c);
+    for (std::size_t i = 0; i < 3; ++i)
+      p_(i, c) = 0.0 + p_(i, c) - k(i, 0) * p3;
+    p_(3, c) = 0.0 + (1.0 - k(3, 0)) * p3;
+  }
   return true;
 }
 

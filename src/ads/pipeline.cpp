@@ -76,7 +76,6 @@ void AdsPipeline::build_modules() {
   });
 
   scheduler_.add_module("localization", config_.imu_hz, [this](double t) {
-    if (hung_modules_.contains("localization")) return;
     if (!imu_.has_message()) return;
     const ImuMsg& imu = imu_.latest();
     if (!finite(imu.accel) || !finite(imu.yaw_rate) || !finite(imu.speed)) {
@@ -113,7 +112,6 @@ void AdsPipeline::build_modules() {
   });
 
   scheduler_.add_module("perception", config_.perception_hz, [this](double t) {
-    if (hung_modules_.contains("perception")) return;
     const DetectionMsg det = sense_objects(world_, config_.object_sensor, rng_);
     detections_.publish(det, t);
 
@@ -132,7 +130,6 @@ void AdsPipeline::build_modules() {
   });
 
   scheduler_.add_module("planner", config_.planner_hz, [this](double t) {
-    if (hung_modules_.contains("planner")) return;
     if (!localization_.has_message() || !world_model_.has_message()) return;
     const LocalizationMsg& loc = localization_.latest();
     const WorldModelMsg& wm = world_model_.latest();
@@ -149,7 +146,6 @@ void AdsPipeline::build_modules() {
   });
 
   scheduler_.add_module("control", config_.control_hz, [this](double t) {
-    if (hung_modules_.contains("control")) return;
     if (!plan_.has_message() || !imu_.has_message()) return;
     const PlanMsg& p = plan_.latest();
     if (!finite(p.target_accel) || !finite(p.target_steer)) {

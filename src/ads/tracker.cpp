@@ -48,7 +48,31 @@ void ObjectTracker::predict(Track& track, double dt) const {
   q(0, 2) = q(2, 0) = 0.5 * dt * dt * dt * s;
   q(1, 3) = q(3, 1) = 0.5 * dt * dt * dt * s;
   q(2, 2) = q(3, 3) = dt * dt * s;
-  track.cov = f * track.cov * f.transposed() + q;
+
+  // F is the identity but for dt at (0, 2) and (1, 3), so F P adds dt
+  // times rows 2 and 3 to rows 0 and 1, and (F P) F^T does the same to
+  // columns. Every entry of F P sums an entry of P, and dt multiplies P's,
+  // so F P is finite only if P and dt are. Then the terms left out,
+  // x * 0.0, change no bit (see util::all_finite).
+  Mat4& p = track.cov;
+  Mat4 fp;
+  for (std::size_t c = 0; c < 4; ++c) {
+    fp(0, c) = 0.0 + p(0, c) + dt * p(2, c);
+    fp(1, c) = 0.0 + p(1, c) + dt * p(3, c);
+    fp(2, c) = 0.0 + p(2, c);
+    fp(3, c) = 0.0 + p(3, c);
+  }
+  if (!util::all_finite(fp)) {
+    p = f * p * f.transposed() + q;
+    return;
+  }
+  for (std::size_t r = 0; r < 4; ++r) {
+    p(r, 0) = 0.0 + fp(r, 0) + fp(r, 2) * dt;
+    p(r, 1) = 0.0 + fp(r, 1) + fp(r, 3) * dt;
+    p(r, 2) = 0.0 + fp(r, 2);
+    p(r, 3) = 0.0 + fp(r, 3);
+  }
+  p += q;
 }
 
 void ObjectTracker::correct(Track& track, const Detection& det) const {
@@ -65,12 +89,20 @@ void ObjectTracker::correct(Track& track, const Detection& det) const {
   const util::Vec<3> innovation{{det.x - track.state[0],
                                  det.y - track.state[1],
                                  det.speed_along - track.state[2]}};
-  const util::Mat<3, 3> s = h * track.cov * h.transposed() + r;
+  // The products that leave out H's zeros need a finite P, and the
+  // covariance's a finite K too; otherwise the dense products run.
+  Mat4& p = track.cov;
+  const bool finite_p = util::all_finite(p);
+  const util::Mat<3, 3> s = finite_p ? util::leading_block<3>(p) + r
+                                     : h * p * h.transposed() + r;
   const util::Lu s_lu(s);
   if (s_lu.singular()) return;
-  const util::Mat<4, 3> k = track.cov * h.transposed() * s_lu.inverse();
+  const util::Mat<4, 3> k =
+      (finite_p ? util::leading_columns<3>(p) : p * h.transposed()) *
+      s_lu.inverse();
   track.state += k * innovation;
-  track.cov = (Mat4::identity() - k * h) * track.cov;
+  p = finite_p && util::all_finite(k) ? util::identity_minus_kh_times(k, p)
+                                      : (Mat4::identity() - k * h) * p;
   track.length = det.length;
   track.width = det.width;
 }
@@ -84,13 +116,13 @@ std::vector<TrackedObject> ObjectTracker::update(const DetectionMsg& detections,
     if (dt > 0.0) predict(track, dt);
 
   // Greedy nearest-neighbor association.
-  std::vector<bool> det_used(detections.detections.size(), false);
-  std::vector<bool> track_matched(tracks_.size(), false);
+  det_used_.assign(detections.detections.size(), false);
+  track_matched_.assign(tracks_.size(), false);
   for (std::size_t ti = 0; ti < tracks_.size(); ++ti) {
     double best = config_.association_gate;
     std::size_t best_di = SIZE_MAX;
     for (std::size_t di = 0; di < detections.detections.size(); ++di) {
-      if (det_used[di]) continue;
+      if (det_used_[di]) continue;
       const auto& det = detections.detections[di];
       const double d = std::hypot(det.x - tracks_[ti].state[0],
                                   det.y - tracks_[ti].state[1]);
@@ -100,8 +132,8 @@ std::vector<TrackedObject> ObjectTracker::update(const DetectionMsg& detections,
       }
     }
     if (best_di != SIZE_MAX) {
-      det_used[best_di] = true;
-      track_matched[ti] = true;
+      det_used_[best_di] = true;
+      track_matched_[ti] = true;
       correct(tracks_[ti], detections.detections[best_di]);
       tracks_[ti].hits += 1;
       tracks_[ti].misses = 0;
@@ -111,7 +143,7 @@ std::vector<TrackedObject> ObjectTracker::update(const DetectionMsg& detections,
 
   // Unmatched tracks accumulate misses; stale tracks die.
   for (std::size_t ti = 0; ti < tracks_.size(); ++ti)
-    if (!track_matched[ti]) tracks_[ti].misses += 1;
+    if (!track_matched_[ti]) tracks_[ti].misses += 1;
   tracks_.erase(std::remove_if(tracks_.begin(), tracks_.end(),
                                [&](const Track& tr) {
                                  return tr.misses > config_.max_misses;
@@ -120,7 +152,7 @@ std::vector<TrackedObject> ObjectTracker::update(const DetectionMsg& detections,
 
   // Unmatched detections spawn tentative tracks.
   for (std::size_t di = 0; di < detections.detections.size(); ++di) {
-    if (det_used[di]) continue;
+    if (det_used_[di]) continue;
     const auto& det = detections.detections[di];
     Track track;
     track.id = next_id_++;

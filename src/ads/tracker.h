@@ -75,6 +75,10 @@ class ObjectTracker {
   std::vector<Track> tracks_;
   int next_id_ = 1;
   double last_time_ = -1.0;
+  // update()'s association scratch, kept so that a frame allocates none.
+  // Not state: snapshot() and state_equals() leave it out.
+  std::vector<bool> det_used_;
+  std::vector<bool> track_matched_;
 };
 
 // Derives the in-path lead-object scalars (lead_gap, lead_rel_speed) that

@@ -15,7 +15,9 @@
 // when both operands are NaN, which one an operation returns follows the
 // compiler's operand order.) ads_test keeps the heap-backed arithmetic as
 // the reference and checks this on sequences with the values a bit flip
-// feeds a filter.
+// feeds a filter. The products with a measurement matrix H below leave out
+// H's zeros, which is bit-identical only for finite factors, so the
+// filters call them only after all_finite says so.
 #pragma once
 
 #include <array>
@@ -141,6 +143,60 @@ bool bits_equal(const Mat<R, C>& a, const Mat<R, C>& b) {
   for (std::size_t i = 0; i < R * C; ++i)
     if (!bits_equal(a.a[i], b.a[i])) return false;
   return true;
+}
+
+// Whether no entry is inf or NaN. A product may leave out a term x * 0.0
+// only when x is finite: the term is then ±0.0, and a sum that starts at
+// +0.0, as the product's does, never becomes -0.0, so adding ±0.0 changes
+// nothing. The filters' steps that skip the zeros of F and H check this.
+template <std::size_t R, std::size_t C>
+bool all_finite(const Mat<R, C>& m) {
+  bool finite = true;
+  for (double x : m.a) finite &= std::isfinite(x);
+  return finite;
+}
+
+// Products with a measurement matrix H = [I 0] that picks the first M of N
+// states, as a GPS fix does for the EKF and a detection for a track. They
+// leave out H's zeros, so each equals its dense product bit for bit only
+// when P, and for the last K too, are finite.
+
+/// H P H^T: P's leading M x M block.
+template <std::size_t M, std::size_t N>
+Mat<M, M> leading_block(const Mat<N, N>& p) {
+  Mat<M, M> out;
+  for (std::size_t r = 0; r < M; ++r)
+    for (std::size_t c = 0; c < M; ++c) out(r, c) = 0.0 + p(r, c);
+  return out;
+}
+
+/// P H^T: P's first M columns.
+template <std::size_t M, std::size_t N>
+Mat<N, M> leading_columns(const Mat<N, N>& p) {
+  Mat<N, M> out;
+  for (std::size_t r = 0; r < N; ++r)
+    for (std::size_t c = 0; c < M; ++c) out(r, c) = 0.0 + p(r, c);
+  return out;
+}
+
+/// (I - K H) P. I - K H is the identity less K in its first M columns, so
+/// row r of the product weighs P's first M rows by them, then adds P's row
+/// r when r >= M, where I - K H holds its only other nonzero, a 1.
+template <std::size_t N, std::size_t M>
+Mat<N, N> identity_minus_kh_times(const Mat<N, M>& k, const Mat<N, N>& p) {
+  Mat<N, N> a = Mat<N, N>::identity();
+  for (std::size_t r = 0; r < N; ++r)
+    for (std::size_t j = 0; j < M; ++j) a(r, j) -= k(r, j);
+  Mat<N, N> out;
+  for (std::size_t r = 0; r < N; ++r) {
+    for (std::size_t c = 0; c < N; ++c) {
+      double acc = 0.0;
+      for (std::size_t j = 0; j < M; ++j) acc += a(r, j) * p(j, c);
+      if (r >= M) acc += p(r, c);
+      out(r, c) = acc;
+    }
+  }
+  return out;
 }
 
 /// LU with partial pivoting.

@@ -439,6 +439,34 @@ class Lu {
   bool singular_ = false;
 };
 
+// The filters leave out the terms that multiply a zero of F or H only
+// where that changes no bit: when P, F and F P, or P and K, are finite.
+// Otherwise they run the dense products, as the reference does. So a
+// step's path follows from its inputs, and each reference step counts the
+// calls that took each one, so that the tests can show every one ran.
+struct Paths {
+  std::size_t structured = 0;
+  std::size_t dense = 0;    // P, F or F P not finite: every product dense
+  std::size_t dense_k = 0;  // P finite, K not: (I - K H) P dense
+
+  void count(bool inputs_finite, bool k_finite = true) {
+    ++(!inputs_finite ? dense : !k_finite ? dense_k : structured);
+  }
+  Paths& operator+=(const Paths& rhs) {
+    structured += rhs.structured;
+    dense += rhs.dense;
+    dense_k += rhs.dense_k;
+    return *this;
+  }
+};
+
+bool finite(const Matrix& m) {
+  for (std::size_t r = 0; r < m.rows(); ++r)
+    for (std::size_t c = 0; c < m.cols(); ++c)
+      if (!std::isfinite(m(r, c))) return false;
+  return true;
+}
+
 double wrap_angle(double a) {
   if (!std::isfinite(a)) return a;
   a = std::fmod(a + M_PI, 2.0 * M_PI);
@@ -451,6 +479,7 @@ struct Ekf {
   bool initialized = false;
   Vector x = Vector(4);
   Matrix p = Matrix::identity(4);
+  Paths predict_paths, speed_paths, gps_paths;
 
   void initialize(double x0, double y0, double theta, double v) {
     x[0] = x0;
@@ -479,6 +508,7 @@ struct Ekf {
         config.process_pos_sigma * config.process_pos_sigma * dt;
     q(2, 2) = config.process_heading_sigma * config.process_heading_sigma * dt;
     q(3, 3) = config.process_speed_sigma * config.process_speed_sigma * dt;
+    predict_paths.count(finite(p) && finite(f) && finite(f * p));
     p = f * p * f.transposed() + q;
   }
 
@@ -503,6 +533,7 @@ struct Ekf {
     const double mahalanobis2 = innovation.dot(weighted);
     if (mahalanobis2 > config.gate * config.gate) return false;
     const Matrix k = p * h.transposed() * s_lu.inverse();
+    gps_paths.count(finite(p), finite(k));
     const Vector dx = k * innovation;
     x += dx;
     x[2] = wrap_angle(x[2]);
@@ -520,6 +551,7 @@ struct Ekf {
     const double innovation = speed - x[3];
     if (innovation * innovation / s > config.gate * config.gate) return false;
     const Matrix k = (1.0 / s) * (p * h.transposed());
+    speed_paths.count(finite(p), finite(k));
     for (std::size_t i = 0; i < 4; ++i) x[i] += k(i, 0) * innovation;
     x[3] = std::max(0.0, x[3]);
     p = (Matrix::identity(4) - k * h) * p;
@@ -539,6 +571,7 @@ struct Ekf {
 struct Track {
   Vector state = Vector(4);
   Matrix cov;
+  Paths predict_paths, correct_paths;
 };
 
 void predict(Track& track, double dt, const TrackerConfig& config) {
@@ -553,6 +586,8 @@ void predict(Track& track, double dt, const TrackerConfig& config) {
   q(0, 2) = q(2, 0) = 0.5 * dt * dt * dt * s;
   q(1, 3) = q(3, 1) = 0.5 * dt * dt * dt * s;
   q(2, 2) = q(3, 3) = dt * dt * s;
+  track.predict_paths.count(finite(track.cov) && finite(f) &&
+                            finite(f * track.cov));
   track.cov = f * track.cov * f.transposed() + q;
 }
 
@@ -570,6 +605,7 @@ void correct(Track& track, const Detection& det, const TrackerConfig& config) {
   const Lu s_lu(s);
   if (s_lu.singular()) return;
   const Matrix k = track.cov * h.transposed() * s_lu.inverse();
+  track.correct_paths.count(finite(track.cov), finite(k));
   const Vector dx = k * innovation;
   track.state += dx;
   track.cov = (Matrix::identity(4) - k * h) * track.cov;
@@ -630,16 +666,19 @@ double feed(util::Rng& rng, double typical) {
   return kSpecial[rng.uniform_index(std::size(kSpecial))];
 }
 
-// A covariance for restore(): ordinary and positive definite, one with
-// bit-flip values in it, the zero matrix, a subnormal diagonal (singular
-// only by the LU's 1e-300 pivot threshold), or one that makes the first
-// three rows of H P H^T + R exactly zero (a singular innovation
+// A covariance for restore(): ordinary and positive definite (its zeros
+// -0.0, as flipped sign bits leave them), one with bit-flip values in it,
+// the zero matrix, a subnormal diagonal (singular only by the LU's 1e-300
+// pivot threshold), a small diagonal whose (0, 3) pair has its exponent's
+// top bit flipped (finite, but every gain K overflows), or one that makes
+// the first three rows of H P H^T + R exactly zero (a singular innovation
 // covariance) given R's diagonal.
 util::Mat<4, 4> crafted_covariance(util::Rng& rng, double r00, double r11,
                                    double r22) {
   util::Mat<4, 4> p;
-  switch (rng.uniform_index(5)) {
+  switch (rng.uniform_index(6)) {
     case 0:
+      for (double& v : p.a) v = -0.0;
       for (std::size_t i = 0; i < 4; ++i) p(i, i) = rng.uniform(0.01, 4.0);
       p(0, 2) = p(2, 0) = rng.uniform(-0.005, 0.005);
       break;
@@ -650,6 +689,10 @@ util::Mat<4, 4> crafted_covariance(util::Rng& rng, double r00, double r11,
       break;
     case 3:
       for (std::size_t i = 0; i < 4; ++i) p(i, i) = 1e-310;
+      break;
+    case 4:
+      for (std::size_t i = 0; i < 4; ++i) p(i, i) = rng.uniform(0.01, 0.2);
+      p(0, 3) = p(3, 0) = std::ldexp(rng.uniform(1.0, 2.0), 1023);
       break;
     default:
       p(0, 0) = -r00;
@@ -663,6 +706,7 @@ util::Mat<4, 4> crafted_covariance(util::Rng& rng, double r00, double r11,
 
 TEST(FilterBits, EkfMatchesHeapBackedArithmetic) {
   std::size_t gps_accepted = 0, gps_singular = 0, speed_accepted = 0;
+  ref::Paths predict_paths, speed_paths, gps_paths;
   for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
     util::Rng rng(seed);
     LocalizationEkf ekf;
@@ -670,7 +714,7 @@ TEST(FilterBits, EkfMatchesHeapBackedArithmetic) {
     const EkfConfig& cfg = expected.config;
     for (int step = 0; step < 3000; ++step) {
       const LocalizationMsg est = ekf.estimate(0.0);
-      const std::uint64_t op = rng.uniform_index(20);
+      const std::uint64_t op = rng.uniform_index(21);
       const char* call = "";
       if (op < 9) {
         ImuMsg imu;
@@ -719,21 +763,28 @@ TEST(FilterBits, EkfMatchesHeapBackedArithmetic) {
             cfg.gps_heading_sigma * cfg.gps_heading_sigma);
         ekf.restore(snap);
         expected.p = to_matrix(snap.p);
-        EXPECT_TRUE(same(ekf.nees(est.x, est.y, est.theta, est.v),
-                         expected.nees(est.x, est.y, est.theta, est.v)));
-        const bool singular = util::bits_equal(
-            snap.p(0, 0), -(cfg.gps_pos_sigma * cfg.gps_pos_sigma));
-        GpsMsg gps;
-        gps.x = est.x;
-        gps.y = est.y;
-        gps.heading = est.theta;
-        const bool accepted = ekf.update_gps(gps);
-        EXPECT_EQ(accepted, expected.update_gps(gps));
-        if (singular && ekf.initialized()) {
-          EXPECT_FALSE(accepted);
-          ++gps_singular;
+        if (op == 20) {
+          // The estimate's own speed passes the gate, so K is computed.
+          const bool accepted = ekf.update_speed(est.v);
+          EXPECT_EQ(accepted, expected.update_speed(est.v));
+          call = "restore, update_speed";
+        } else {
+          EXPECT_TRUE(same(ekf.nees(est.x, est.y, est.theta, est.v),
+                           expected.nees(est.x, est.y, est.theta, est.v)));
+          const bool singular = util::bits_equal(
+              snap.p(0, 0), -(cfg.gps_pos_sigma * cfg.gps_pos_sigma));
+          GpsMsg gps;
+          gps.x = est.x;
+          gps.y = est.y;
+          gps.heading = est.theta;
+          const bool accepted = ekf.update_gps(gps);
+          EXPECT_EQ(accepted, expected.update_gps(gps));
+          if (singular && ekf.initialized()) {
+            EXPECT_FALSE(accepted);
+            ++gps_singular;
+          }
+          call = "restore, nees, update_gps";
         }
-        call = "restore, nees, update_gps";
       }
       const LocalizationEkf::Snapshot got = ekf.snapshot();
       ASSERT_EQ(got.initialized, expected.initialized) << call;
@@ -745,17 +796,29 @@ TEST(FilterBits, EkfMatchesHeapBackedArithmetic) {
       ASSERT_TRUE(same(out.x, expected.x[0]) && same(out.y, expected.x[1]) &&
                   same(out.theta, expected.x[2]) && same(out.v, expected.x[3]));
     }
+    predict_paths += expected.predict_paths;
+    speed_paths += expected.speed_paths;
+    gps_paths += expected.gps_paths;
   }
   // The sequences reached the paths they are meant to cover.
   EXPECT_GT(gps_accepted, 1000u);
   EXPECT_GT(speed_accepted, 1000u);
   EXPECT_GT(gps_singular, 50u);
+  EXPECT_GT(predict_paths.structured, 900u);
+  EXPECT_GT(predict_paths.dense, 1500u);
+  EXPECT_GT(speed_paths.structured, 700u);
+  EXPECT_GT(speed_paths.dense, 600u);
+  EXPECT_GT(speed_paths.dense_k, 40u);
+  EXPECT_GT(gps_paths.structured, 600u);
+  EXPECT_GT(gps_paths.dense, 600u);
+  EXPECT_GT(gps_paths.dense_k, 40u);
 }
 
 TEST(FilterBits, TrackerMatchesHeapBackedArithmetic) {
   const TrackerConfig config;
   const double r_pos = config.measurement_sigma * config.measurement_sigma;
   std::size_t corrected = 0, singular = 0;
+  ref::Paths predict_paths, correct_paths;
   for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
     util::Rng rng(seed);
     ObjectTracker tracker(config);
@@ -821,9 +884,16 @@ TEST(FilterBits, TrackerMatchesHeapBackedArithmetic) {
                   same(published[0].vx, expected.state[2]) &&
                   same(published[0].vy, expected.state[3]));
     }
+    predict_paths += expected.predict_paths;
+    correct_paths += expected.correct_paths;
   }
   EXPECT_GT(corrected, 3000u);
   EXPECT_GT(singular, 20u);
+  EXPECT_GT(predict_paths.structured, 3500u);
+  EXPECT_GT(predict_paths.dense, 1000u);
+  EXPECT_GT(correct_paths.structured, 1900u);
+  EXPECT_GT(correct_paths.dense, 25u);
+  EXPECT_GT(correct_paths.dense_k, 20u);
 }
 
 // ---------- Planner ----------
