@@ -13,6 +13,7 @@
 //
 //   ./bench_bn_compiled [queries] [out.json]
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -91,7 +92,8 @@ int main(int argc, char** argv) {
       core::build_catalog(suite, core::default_target_ranges(), 7.5);
   const auto target_map = core::default_target_to_bn_variable();
   std::vector<QueryCase> cases;
-  for (const auto& fault : catalog.faults) {
+  for (std::size_t i = 0; i < catalog.size(); ++i) {
+    const core::CandidateFault fault = catalog.at(i);
     const auto map_it = target_map.find(fault.target);
     if (map_it == target_map.end()) continue;
     if (fault.scenario_index >= goldens.size()) continue;
@@ -99,13 +101,14 @@ int main(int argc, char** argv) {
     qc.trace = &goldens[fault.scenario_index];
     qc.scene_index = fault.scene_index;
     qc.variable = map_it->second;
-    qc.value = core::fault_value_to_bn_value(fault, map_it->second);
+    qc.value =
+        core::fault_value_to_bn_value(fault.target, fault.value, qc.variable);
     // Keep only windows that actually produce a prediction.
     if (!compiled.predict(*qc.trace, qc.scene_index, qc.variable, qc.value))
       continue;
     const auto prev_values =
         ads::scene_variable_values(qc.trace->scenes[qc.scene_index - 1]);
-    qc.evidence = prev_values;
+    qc.evidence.assign(prev_values.begin(), prev_values.end());
     for (std::size_t i = 0; i < names.size(); ++i)
       qc.evidence_exact.push_back(
           {bn::DbnTemplate::slice_name(names[i], 0), prev_values[i]});
@@ -207,7 +210,7 @@ int main(int argc, char** argv) {
 
   // --- batched sweep throughput on one structure ---
   const bn::CompiledQuery& throttle_plan = plan_for_variable("throttle");
-  std::vector<std::vector<double>> rows;
+  std::vector<std::array<double, ads::kSceneVariableCount>> rows;
   for (const auto& trace : goldens)
     for (std::size_t k = 1; k + 1 < trace.scenes.size(); ++k) {
       if (trace.scenes[k - 1].lead_gap < 0.0) continue;

@@ -34,7 +34,8 @@ const std::vector<std::string>& scene_variable_names() {
   return names;
 }
 
-std::vector<double> scene_variable_values(const SceneRecord& r) {
+std::array<double, kSceneVariableCount> scene_variable_values(
+    const SceneRecord& r) {
   return {r.true_v,  r.true_y_off, r.true_theta, r.lead_gap, r.lead_rel_speed,
           r.v,       r.y_off,      r.theta,      r.u_accel,  r.u_steer,
           r.throttle, r.brake,     r.steer};

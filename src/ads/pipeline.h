@@ -5,6 +5,7 @@
 // reproduction's stand-in for DriveAV / Apollo 3.0.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <set>
 #include <string>
@@ -93,9 +94,11 @@ struct SceneRecord {
 };
 
 // Names of the BN variables in SceneRecord, in a fixed order used by the
-// trace/Dataset bridge in core.
+// trace/Dataset bridge in core, and one record's values in that order.
+inline constexpr std::size_t kSceneVariableCount = 13;
 const std::vector<std::string>& scene_variable_names();
-std::vector<double> scene_variable_values(const SceneRecord& record);
+std::array<double, kSceneVariableCount> scene_variable_values(
+    const SceneRecord& record);
 
 // A value-corruption fault (fault model (b) and Bayesian-selected faults):
 // write `value` into the registry target during [start, start + hold].

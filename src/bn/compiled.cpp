@@ -38,37 +38,42 @@ std::vector<std::size_t> resolve_ids(const LinearGaussianNetwork& net,
 
 }  // namespace
 
-std::vector<double> CompiledQuery::mean(
-    const std::vector<double>& intervention_values,
-    const std::vector<double>& evidence_values) const {
+void CompiledQuery::mean(std::span<const double> intervention_values,
+                         std::span<const double> evidence_values,
+                         std::span<double> out) const {
   const std::size_t nq = query_count();
   const std::size_t nb = evidence_count();
   const std::size_t ni = intervention_count();
   // Real checks, not asserts: the exact path throws on misuse, and this
   // replaces it in Release campaigns where asserts compile out.
-  if (intervention_values.size() != ni || evidence_values.size() != nb)
+  if (intervention_values.size() != ni || evidence_values.size() != nb ||
+      out.size() != nq)
     throw std::invalid_argument(
         "CompiledQuery::mean: value counts do not match the plan structure");
-  static obs::Counter& queries_metric = obs::metrics().counter("bn.queries");
-  queries_metric.add();
 
-  // Residual r = e - mu0_b - G_b v.
-  std::vector<double> residual(nb);
-  for (std::size_t i = 0; i < nb; ++i) {
-    double r = evidence_values[i] - mu0_b_[i];
-    for (std::size_t j = 0; j < ni; ++j)
-      r -= g_b_(i, j) * intervention_values[j];
-    residual[i] = r;
-  }
-
-  std::vector<double> out(nq);
+  // out_i = mu0_q_i + sum_j G_q(i, j) v_j + sum_j K(i, j) r_j with the
+  // residual r = e - mu0_b - G_b v, each sum added in index order. Each
+  // r_j is folded into every out_i as soon as it is known, so no residual
+  // vector is kept.
   for (std::size_t i = 0; i < nq; ++i) {
     double m = mu0_q_[i];
     for (std::size_t j = 0; j < ni; ++j)
       m += g_q_(i, j) * intervention_values[j];
-    for (std::size_t j = 0; j < nb; ++j) m += gain_(i, j) * residual[j];
     out[i] = m;
   }
+  for (std::size_t j = 0; j < nb; ++j) {
+    double r = evidence_values[j] - mu0_b_[j];
+    for (std::size_t k = 0; k < ni; ++k)
+      r -= g_b_(j, k) * intervention_values[k];
+    for (std::size_t i = 0; i < nq; ++i) out[i] += gain_(i, j) * r;
+  }
+}
+
+std::vector<double> CompiledQuery::mean(
+    const std::vector<double>& intervention_values,
+    const std::vector<double>& evidence_values) const {
+  std::vector<double> out(query_count());
+  mean(intervention_values, evidence_values, out);
   return out;
 }
 

@@ -27,6 +27,7 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -47,7 +48,12 @@ class CompiledQuery {
   std::size_t query_count() const { return mu0_q_.size(); }
 
   // Posterior mean of the query nodes given do(interventions = iv) and
-  // evidence = ev. For plans prepared without interventions pass {}.
+  // evidence = ev, written to `out` (query_count() values); allocates
+  // nothing. For plans prepared without interventions pass {}.
+  void mean(std::span<const double> intervention_values,
+            std::span<const double> evidence_values,
+            std::span<double> out) const;
+  // The same, returned as a vector.
   std::vector<double> mean(const std::vector<double>& intervention_values,
                            const std::vector<double>& evidence_values) const;
   // Observational shorthand (intervention_count() must be 0).

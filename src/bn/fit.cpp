@@ -58,8 +58,8 @@ LinearGaussianNetwork fit_network(const std::vector<NodeSpec>& specs,
     const std::size_t d = p + 1;
     Matrix xtx(d, d);
     Vector xty(d);
+    std::vector<double> x(d, 1.0);  // x[p] stays the intercept's 1
     for (const auto& row : data.rows) {
-      std::vector<double> x(d, 1.0);
       for (std::size_t j = 0; j < p; ++j) x[j] = row[x_cols[j]];
       const double y = row[y_col];
       for (std::size_t a = 0; a < d; ++a) {

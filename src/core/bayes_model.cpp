@@ -1,5 +1,6 @@
 #include "core/bayes_model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -80,9 +81,20 @@ bn::DbnTemplate ads_dbn_template() {
   return t;
 }
 
+namespace {
+
+const SafetyPredictorConfig& checked(const SafetyPredictorConfig& config) {
+  if (config.slices < 3 || config.slices > kMaxSlices)
+    throw std::invalid_argument("SafetyPredictor: slices must be in [3, " +
+                                std::to_string(kMaxSlices) + "]");
+  return config;
+}
+
+}  // namespace
+
 SafetyPredictor::SafetyPredictor(const std::vector<GoldenTrace>& traces,
                                  const SafetyPredictorConfig& config)
-    : config_(config) {
+    : config_(checked(config)) {
   const DbnTemplate tmpl = ads_dbn_template();
   // Build a sliding-window dataset directly from the per-trace scene logs
   // (windows must not straddle trace boundaries).
@@ -116,19 +128,16 @@ SafetyPredictor::SafetyPredictor(const std::vector<GoldenTrace>& traces,
 
 SafetyPredictor::SafetyPredictor(bn::LinearGaussianNetwork net,
                                  const SafetyPredictorConfig& config)
-    : net_(std::move(net)), config_(config) {
+    : net_(std::move(net)), config_(checked(config)) {
   init_compiled();
 }
 
-SafetyPredictor::SafetyPredictor(SafetyPredictor&& other) noexcept
-    : net_(std::move(other.net_)),
-      config_(other.config_),
-      compiled_(std::move(other.compiled_)),
-      nominal_plan_(other.nominal_plan_),
-      plans_(std::move(other.plans_)),
-      inference_count_(other.inference_count_.load()) {
-  // Plans point into *compiled_ (heap-allocated), so they survive the move.
-  other.nominal_plan_ = nullptr;
+std::size_t SafetyPredictor::variable_id(const std::string& variable) {
+  const auto& names = ads::scene_variable_names();
+  const auto it = std::find(names.begin(), names.end(), variable);
+  if (it == names.end())
+    throw std::out_of_range("SafetyPredictor: no scene variable " + variable);
+  return static_cast<std::size_t>(it - names.begin());
 }
 
 std::vector<std::string> SafetyPredictor::query_nodes() const {
@@ -154,10 +163,8 @@ void SafetyPredictor::init_compiled() {
       nominal_evidence.push_back(DbnTemplate::slice_name(n, s));
   nominal_plan_ = &compiled_->prepare(nominal_evidence, query);
 
-  for (std::size_t vi = 0; vi < names.size(); ++vi) {
-    const std::string& var = names[vi];
+  for (const std::string& var : names) {
     VariablePlans vp;
-    vp.var_index = vi;
 
     // Causal plan: do(var) in every hold slice; slice-0 evidence in full,
     // slice-1 evidence only on nodes the intervention cannot reach (same
@@ -194,60 +201,64 @@ void SafetyPredictor::init_compiled() {
     }
     vp.observational = &compiled_->prepare(obs_evidence, query);
 
-    plans_.emplace(var, std::move(vp));
+    plans_.push_back(std::move(vp));
   }
 }
 
-std::vector<double> SafetyPredictor::infer_compiled(
-    const GoldenTrace& trace, std::size_t scene_index,
-    const std::string& variable, std::optional<double> value,
-    bool use_do) const {
-  const int slices = config_.slices;
-  const ads::SceneRecord& prev = trace.scenes[scene_index - 1];
-  std::vector<double> evidence = ads::scene_variable_values(prev);
+SafetyPredictor::QueryMeans SafetyPredictor::infer_compiled(
+    const GoldenTrace& trace, std::size_t scene_index, std::size_t variable,
+    std::optional<double> value, bool use_do) const {
+  constexpr std::size_t kVars = ads::kSceneVariableCount;
+  const auto hold = static_cast<std::size_t>(config_.slices - 2);
+  const auto prev = ads::scene_variable_values(trace.scenes[scene_index - 1]);
+  QueryMeans m_hat{};
 
   if (value.has_value() && use_do) {
-    const VariablePlans& vp = plans_.at(variable);
-    const auto inject_values =
-        ads::scene_variable_values(trace.scenes[scene_index]);
-    for (std::size_t i : vp.slice1_kept) evidence.push_back(inject_values[i]);
-    const std::vector<double> interventions(
-        static_cast<std::size_t>(slices - 2), *value);
-    return vp.causal->mean(interventions, evidence);
+    // Slice 0 in full, then slice 1's nodes the intervention cannot reach.
+    const VariablePlans& vp = plans_[variable];
+    std::array<double, 2 * kVars> evidence{};
+    std::copy(prev.begin(), prev.end(), evidence.begin());
+    std::size_t n = kVars;
+    const auto inject = ads::scene_variable_values(trace.scenes[scene_index]);
+    for (std::size_t i : vp.slice1_kept) evidence[n++] = inject[i];
+    std::array<double, kMaxSlices - 2> interventions{};
+    std::fill_n(interventions.begin(), hold, *value);
+    vp.causal->mean({interventions.data(), hold}, {evidence.data(), n},
+                    m_hat);
+    return m_hat;
   }
 
-  if (value.has_value()) {
-    const VariablePlans& vp = plans_.at(variable);
-    for (int s = 1; s <= slices - 2; ++s) {
-      const auto values = ads::scene_variable_values(
-          trace.scenes[scene_index + static_cast<std::size_t>(s - 1)]);
-      for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i == vp.var_index) continue;
-        evidence.push_back(values[i]);
-      }
-      evidence.push_back(*value);
-    }
-    return vp.observational->mean(evidence);
+  // Slice 0, then every hold slice: in full (nominal), or with the
+  // corrupted value observed last in place of the golden one.
+  std::array<double, kVars * (kMaxSlices - 1)> evidence{};
+  std::copy(prev.begin(), prev.end(), evidence.begin());
+  std::size_t n = kVars;
+  for (std::size_t s = 0; s < hold; ++s) {
+    const auto values =
+        ads::scene_variable_values(trace.scenes[scene_index + s]);
+    for (std::size_t i = 0; i < kVars; ++i)
+      if (!value.has_value() || i != variable) evidence[n++] = values[i];
+    if (value.has_value()) evidence[n++] = *value;
   }
-
-  for (int s = 1; s <= slices - 2; ++s) {
-    const auto values = ads::scene_variable_values(
-        trace.scenes[scene_index + static_cast<std::size_t>(s - 1)]);
-    evidence.insert(evidence.end(), values.begin(), values.end());
-  }
-  return nominal_plan_->mean(evidence);
+  const bn::CompiledQuery& plan =
+      value.has_value() ? *plans_[variable].observational : *nominal_plan_;
+  plan.mean({}, {evidence.data(), n}, m_hat);
+  return m_hat;
 }
 
-std::vector<double> SafetyPredictor::infer_exact(
-    const GoldenTrace& trace, std::size_t scene_index,
-    const std::string& variable, std::optional<double> value,
-    bool use_do) const {
+SafetyPredictor::QueryMeans SafetyPredictor::infer_exact(
+    const GoldenTrace& trace, std::size_t scene_index, std::size_t id,
+    std::optional<double> value, bool use_do) const {
   const int slices = config_.slices;
   const ads::SceneRecord& prev = trace.scenes[scene_index - 1];
   const ads::SceneRecord& inject = trace.scenes[scene_index];
   const std::vector<std::string> query = query_nodes();
+  const auto means = [](const std::vector<double>& m) {
+    return QueryMeans{m[0], m[1], m[2], m[3]};
+  };
 
   const auto& names = ads::scene_variable_names();
+  const std::string& variable = names[id];
   std::vector<Assignment> evidence;
   // Slice 0: full golden evidence.
   {
@@ -273,7 +284,7 @@ std::vector<double> SafetyPredictor::infer_exact(
     std::vector<Assignment> interventions;
     for (int s = 1; s <= slices - 2; ++s)
       interventions.push_back({DbnTemplate::slice_name(variable, s), *value});
-    return net_.do_posterior_mean(interventions, evidence, query);
+    return means(net_.do_posterior_mean(interventions, evidence, query));
   }
 
   if (value.has_value()) {
@@ -292,7 +303,7 @@ std::vector<double> SafetyPredictor::infer_exact(
       }
       evidence.push_back({DbnTemplate::slice_name(variable, s), *value});
     }
-    return net_.posterior_mean(evidence, query);
+    return means(net_.posterior_mean(evidence, query));
   }
 
   // Nominal prediction: golden evidence through slice S-2.
@@ -303,13 +314,12 @@ std::vector<double> SafetyPredictor::infer_exact(
     for (std::size_t i = 0; i < names.size(); ++i)
       evidence.push_back({DbnTemplate::slice_name(names[i], s), values[i]});
   }
-  return net_.posterior_mean(evidence, query);
+  return means(net_.posterior_mean(evidence, query));
 }
 
 std::optional<DeltaPrediction> SafetyPredictor::predict_impl(
-    const GoldenTrace& trace, std::size_t scene_index,
-    const std::string& variable, std::optional<double> value, bool use_do,
-    PredictSkip* skip) const {
+    const GoldenTrace& trace, std::size_t scene_index, std::size_t variable,
+    std::optional<double> value, bool use_do, PredictSkip* skip) const {
   // Slice layout of the S-TBN (S = config.slices, S >= 3):
   //   slice 0            : pre-fault evidence (scene k-1)
   //   slices 1 .. S-2    : the fault is held (scenes k .. k+S-3); the
@@ -344,11 +354,10 @@ std::optional<DeltaPrediction> SafetyPredictor::predict_impl(
   // envelope comes from the ground-truth scene, and corrupted *beliefs*
   // endanger the car only through the actuation they provoke, which the
   // truth/belief-split network propagates causally.
-  const std::vector<double> m_hat =
+  const QueryMeans m_hat =
       config_.use_compiled
           ? infer_compiled(trace, scene_index, variable, value, use_do)
           : infer_exact(trace, scene_index, variable, value, use_do);
-  inference_count_.fetch_add(1, std::memory_order_relaxed);
 
   DeltaPrediction pred;
   pred.predicted_v = std::max(0.0, m_hat[0]);
@@ -381,6 +390,15 @@ std::optional<DeltaPrediction> SafetyPredictor::predict_impl(
 std::optional<DeltaPrediction> SafetyPredictor::predict(
     const GoldenTrace& trace, std::size_t scene_index,
     const std::string& variable, double value, PredictSkip* skip) const {
+  return predict(trace, scene_index, variable_id(variable), value, skip);
+}
+
+std::optional<DeltaPrediction> SafetyPredictor::predict(
+    const GoldenTrace& trace, std::size_t scene_index, std::size_t variable,
+    double value, PredictSkip* skip) const {
+  if (variable >= ads::kSceneVariableCount)
+    throw std::out_of_range("SafetyPredictor: no scene variable id " +
+                            std::to_string(variable));
   return predict_impl(trace, scene_index, variable, value, /*use_do=*/true,
                       skip);
 }
@@ -388,15 +406,15 @@ std::optional<DeltaPrediction> SafetyPredictor::predict(
 std::optional<DeltaPrediction> SafetyPredictor::predict_nominal(
     const GoldenTrace& trace, std::size_t scene_index,
     PredictSkip* skip) const {
-  return predict_impl(trace, scene_index, "", std::nullopt, /*use_do=*/true,
+  return predict_impl(trace, scene_index, 0, std::nullopt, /*use_do=*/true,
                       skip);
 }
 
 std::optional<DeltaPrediction> SafetyPredictor::predict_observational(
     const GoldenTrace& trace, std::size_t scene_index,
     const std::string& variable, double value, PredictSkip* skip) const {
-  return predict_impl(trace, scene_index, variable, value, /*use_do=*/false,
-                      skip);
+  return predict_impl(trace, scene_index, variable_id(variable), value,
+                      /*use_do=*/false, skip);
 }
 
 void save_predictor(const SafetyPredictor& predictor,
@@ -424,8 +442,9 @@ SafetyPredictor load_predictor(const std::string& path) {
     throw std::runtime_error("load_predictor: " + path + ": " + what);
   };
   // The k-TBN holds the fault in slices 1 .. k-2 and queries slice k-1, so
-  // `slices` must be an integer k >= 3 and slice k-1 must be the network's
-  // last. Checked before the cast, which 1e300 would overflow.
+  // `slices` must be an integer 3 <= k <= kMaxSlices and slice k-1 must be
+  // the network's last. Checked before the cast, which 1e300 would
+  // overflow.
   const double slices = get("slices", config.slices);
   const auto has_slice = [&net](double slice) {
     return net.dag()
@@ -433,9 +452,10 @@ SafetyPredictor load_predictor(const std::string& path) {
         .has_value();
   };
   if (!(slices >= 3.0) || slices != std::floor(slices) ||
-      slices > static_cast<double>(net.node_count()) ||
+      slices > static_cast<double>(kMaxSlices) ||
       !has_slice(slices - 1.0) || has_slice(slices))
-    reject("slices must be an integer >= 3 matching the network's slices");
+    reject("slices must be an integer in [3, " + std::to_string(kMaxSlices) +
+           "] matching the network's slices");
   config.slices = static_cast<int>(slices);
   // A selected fault is replayed stuck-at for (slices - 2) / scene_hz s.
   config.scene_hz = get("scene_hz", config.scene_hz);

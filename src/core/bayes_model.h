@@ -12,17 +12,17 @@
 /// Inference runs on the compiled engine (bn/compiled.h) by default: the
 /// joint and the per-variable conditioning plans are built once at
 /// construction, so each predict() is a couple of small mat-vecs instead
-/// of a full joint rebuild + solve. Set SafetyPredictorConfig.use_compiled
-/// to false for the exact per-query path (the two agree to < 1e-9 on every
-/// prediction; enforced by tests). Predict methods are const, lock-free,
-/// and safe to call concurrently from campaign worker threads.
+/// of a full joint rebuild + solve, on fixed-size storage of the caller's
+/// stack. Set SafetyPredictorConfig.use_compiled to false for the exact
+/// per-query path (the two agree to < 1e-9 on every prediction; enforced
+/// by tests). Predict methods are const, lock-free, write nothing shared,
+/// and are safe to call concurrently from campaign worker threads.
 #pragma once
 
-#include <atomic>
+#include <array>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ads/pipeline.h"
@@ -36,12 +36,17 @@ namespace drivefi::core {
 /// The DBN template over the ten scene variables.
 bn::DbnTemplate ads_dbn_template();
 
+/// Deepest k-TBN a SafetyPredictor unrolls: a prediction keeps its
+/// evidence (13 values a slice) in fixed storage sized for it.
+inline constexpr int kMaxSlices = 16;
+
 struct SafetyPredictorConfig {
-  /// k-TBN unroll. Slice 0 carries pre-fault evidence, slices 1..k-2 hold
-  /// the fault, slice k-1 is the query; the prediction horizon (and the
-  /// fault hold the campaign replays) is therefore k-2 slices. k = 3 is
-  /// the paper's 3-TBN (one-slice hold); the default k = 4 matches the
-  /// campaign runner's two-scene stuck-at hold.
+  /// k-TBN unroll, 3 <= k <= kMaxSlices. Slice 0 carries pre-fault
+  /// evidence, slices 1..k-2 hold the fault, slice k-1 is the query; the
+  /// prediction horizon (and the fault hold the campaign replays) is
+  /// therefore k-2 slices. k = 3 is the paper's 3-TBN (one-slice hold);
+  /// the default k = 4 matches the campaign runner's two-scene stuck-at
+  /// hold.
   int slices = 4;
   double scene_hz = 7.5;    // slice spacing
   double amax = 6.0;        // emergency-stop deceleration
@@ -75,14 +80,15 @@ enum class PredictSkip {
 
 class SafetyPredictor {
  public:
-  /// Fits the k-TBN on golden traces.
+  /// Fits the k-TBN on golden traces. Both constructors throw
+  /// std::invalid_argument when config.slices is outside [3, kMaxSlices].
   SafetyPredictor(const std::vector<GoldenTrace>& traces,
                   const SafetyPredictorConfig& config = {});
   /// Uses a pre-fitted network (ablation / reuse-without-refit entry point).
   SafetyPredictor(bn::LinearGaussianNetwork net,
                   const SafetyPredictorConfig& config);
 
-  SafetyPredictor(SafetyPredictor&& other) noexcept;
+  SafetyPredictor(SafetyPredictor&& other) noexcept = default;
   SafetyPredictor(const SafetyPredictor&) = delete;
   SafetyPredictor& operator=(const SafetyPredictor&) = delete;
 
@@ -106,6 +112,16 @@ class SafetyPredictor {
                                          const std::string& variable,
                                          double value,
                                          PredictSkip* skip = nullptr) const;
+  /// The same with the variable given by variable_id(): the selection
+  /// sweep resolves its names once and asks this per candidate.
+  std::optional<DeltaPrediction> predict(const GoldenTrace& trace,
+                                         std::size_t scene_index,
+                                         std::size_t variable, double value,
+                                         PredictSkip* skip = nullptr) const;
+
+  /// A scene variable's id: its index in ads::scene_variable_names().
+  /// Throws std::out_of_range for a name that is not a scene variable.
+  static std::size_t variable_id(const std::string& variable);
 
   /// Fault-free one-step prediction (used by the E6 accuracy bench): same
   /// window, no intervention.
@@ -121,50 +137,41 @@ class SafetyPredictor {
       const std::string& variable, double value,
       PredictSkip* skip = nullptr) const;
 
-  /// Number of BN inference calls made so far (for the E1 cost accounting).
-  /// Atomic: predictions may run concurrently across campaign workers.
-  std::size_t inference_count() const {
-    return inference_count_.load(std::memory_order_relaxed);
-  }
-
  private:
   /// Per-variable compiled plans: the (interventions, evidence, query)
   /// structure is fixed per faulted variable, so one causal and one
   /// observational plan per scene variable covers every query the selector
   /// can ask. Built eagerly at construction; read-only afterwards.
   struct VariablePlans {
-    std::size_t var_index = 0;               // into scene_variable_names()
     const bn::CompiledQuery* causal = nullptr;
     const bn::CompiledQuery* observational = nullptr;
     std::vector<std::size_t> slice1_kept;    // evidence survivors at slice 1
   };
+  /// M-hat: true_v, true_y_off, true_theta and steer at the query slice.
+  using QueryMeans = std::array<double, 4>;
 
   void init_compiled();
   std::vector<std::string> query_nodes() const;
 
+  /// `variable` is a variable_id(); nominal predictions (no value) ignore
+  /// it.
   std::optional<DeltaPrediction> predict_impl(
-      const GoldenTrace& trace, std::size_t scene_index,
-      const std::string& variable, std::optional<double> value,
-      bool use_do, PredictSkip* skip) const;
-  /// The two inference backends behind predict_impl; both return M-hat in
-  /// query_nodes() order for an in-range, lead-valid window.
-  std::vector<double> infer_compiled(const GoldenTrace& trace,
-                                     std::size_t scene_index,
-                                     const std::string& variable,
-                                     std::optional<double> value,
-                                     bool use_do) const;
-  std::vector<double> infer_exact(const GoldenTrace& trace,
-                                  std::size_t scene_index,
-                                  const std::string& variable,
-                                  std::optional<double> value,
-                                  bool use_do) const;
+      const GoldenTrace& trace, std::size_t scene_index, std::size_t variable,
+      std::optional<double> value, bool use_do, PredictSkip* skip) const;
+  /// The two inference backends behind predict_impl, for an in-range,
+  /// lead-valid window.
+  QueryMeans infer_compiled(const GoldenTrace& trace, std::size_t scene_index,
+                            std::size_t variable, std::optional<double> value,
+                            bool use_do) const;
+  QueryMeans infer_exact(const GoldenTrace& trace, std::size_t scene_index,
+                         std::size_t variable, std::optional<double> value,
+                         bool use_do) const;
 
   bn::LinearGaussianNetwork net_;
   SafetyPredictorConfig config_;
   std::unique_ptr<bn::CompiledNetwork> compiled_;
   const bn::CompiledQuery* nominal_plan_ = nullptr;
-  std::unordered_map<std::string, VariablePlans> plans_;
-  mutable std::atomic<std::size_t> inference_count_{0};
+  std::vector<VariablePlans> plans_;  // by variable_id()
 };
 
 /// Persistence: a fitted predictor round-trips through the versioned

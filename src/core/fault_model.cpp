@@ -126,11 +126,11 @@ BayesianFaultModel::BayesianFaultModel(
 
 void BayesianFaultModel::select(const Experiment& experiment,
                                 const BayesianCampaignConfig& config) {
-  catalog_ = build_catalog(experiment.scenarios(), default_target_ranges(),
-                           experiment.pipeline_config().scene_hz);
   const BayesianFaultSelector selector(*predictor_, config.target_map);
-  selection_ = selector.select_critical_faults(catalog_, experiment.goldens(),
-                                               config.selection);
+  selection_ = selector.select_critical_faults(
+      build_catalog(experiment.scenarios(), default_target_ranges(),
+                    experiment.pipeline_config().scene_hz),
+      experiment.goldens(), config.selection);
   const std::size_t count =
       config.max_replays == 0
           ? selection_.critical.size()

@@ -162,7 +162,6 @@ class BayesianFaultModel : public FaultModel {
   void describe(ResultSink& sink) const override;
 
   const SafetyPredictor& predictor() const { return *predictor_; }
-  const FaultCatalog& catalog() const { return catalog_; }
   const SelectionResult& selection() const { return selection_; }
   const std::vector<SelectedFault>& replays() const { return replays_; }
 
@@ -171,7 +170,6 @@ class BayesianFaultModel : public FaultModel {
               const BayesianCampaignConfig& config);
 
   std::shared_ptr<const SafetyPredictor> predictor_;
-  FaultCatalog catalog_;
   SelectionResult selection_;
   std::vector<SelectedFault> replays_;
 };

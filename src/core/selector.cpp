@@ -25,15 +25,15 @@ std::map<std::string, std::string> default_target_to_bn_variable() {
   };
 }
 
-double fault_value_to_bn_value(const CandidateFault& fault,
+double fault_value_to_bn_value(const std::string& target, double value,
                                const std::string& bn_variable) {
-  if (fault.target == "localization.y" && bn_variable == "y_off") {
+  if (target == "localization.y" && bn_variable == "y_off") {
     // World y -> offset from the ego lane center (lane 1 at y = 3.7 in
     // every library scenario).
     constexpr double kEgoLaneCenter = 3.7;
-    return fault.value - kEgoLaneCenter;
+    return value - kEgoLaneCenter;
   }
-  return fault.value;
+  return value;
 }
 
 BayesianFaultSelector::BayesianFaultSelector(
@@ -55,17 +55,18 @@ struct ChunkResult {
   std::size_t golden_unsafe = 0;
 };
 
-bool same_frame(const CandidateFault& a, const CandidateFault& b) {
-  return a.scenario_index == b.scenario_index && a.scene_index == b.scene_index;
-}
+// One of a frame's (target, extreme) candidates, resolved once per
+// selection.
+struct Slot {
+  bool mapped = false;       // the target has a BN variable
+  std::size_t variable = 0;  // SafetyPredictor::variable_id
+  double value = 0.0;        // corrupted value in the variable's unit
+  std::size_t first = 0;     // earliest slot asking the same prediction
+};
 
-// A prediction made in the current frame, kept for the targets that map to
-// the same BN variable and value.
-struct MadePrediction {
-  const std::string* variable;
-  std::uint64_t value_bits;
-  std::optional<DeltaPrediction> prediction;
-  PredictSkip skip;
+struct Prediction {
+  std::optional<DeltaPrediction> delta;
+  PredictSkip skip = PredictSkip::kNone;
 };
 
 }  // namespace
@@ -80,89 +81,116 @@ SelectionResult BayesianFaultSelector::select_critical_faults(
 
   // A prediction depends only on (scenario, scene, BN variable, value), and
   // targets that share a BN variable (imu.speed and localization.v, say)
-  // repeat each other's predictions within a frame. Chunks end on a frame
-  // boundary, so every repeat finds its original in its own chunk whatever
-  // the chunk size.
-  const std::size_t chunk = std::max<std::size_t>(1, options.chunk);
-  std::vector<std::size_t> bounds{0};
-  while (bounds.back() < catalog.size()) {
-    std::size_t end = std::min(bounds.back() + chunk, catalog.size());
-    while (end < catalog.size() &&
-           same_frame(catalog.faults[end - 1], catalog.faults[end]))
-      ++end;
-    bounds.push_back(end);
+  // repeat each other's predictions within a frame: each such slot reuses
+  // the prediction of the frame's earliest slot with the same variable and
+  // value bits.
+  const std::size_t per_frame = catalog.candidates_per_frame();
+  std::vector<Slot> slots(per_frame);
+  std::size_t mapped_per_frame = 0;
+  for (std::size_t k = 0; k < per_frame; ++k) {
+    Slot& slot = slots[k];
+    slot.first = k;
+    const TargetRange& target = catalog.targets[k / 2];
+    const auto map_it = target_map_.find(target.name);
+    if (map_it == target_map_.end()) continue;
+    slot.mapped = true;
+    ++mapped_per_frame;
+    slot.variable = SafetyPredictor::variable_id(map_it->second);
+    slot.value = fault_value_to_bn_value(
+        target.name, k % 2 == 0 ? target.min_value : target.max_value,
+        map_it->second);
+    for (std::size_t j = 0; j < k; ++j)
+      if (slots[j].mapped && slots[j].variable == slot.variable &&
+          std::bit_cast<std::uint64_t>(slots[j].value) ==
+              std::bit_cast<std::uint64_t>(slot.value)) {
+        slot.first = j;
+        break;
+      }
   }
-  const std::size_t n_chunks = bounds.size() - 1;
+
+  // A chunk is the whole frames that cover `chunk` candidates, so every
+  // repeat finds its original in its own chunk whatever the chunk size.
+  const std::size_t frames = per_frame == 0 ? 0 : catalog.scene_count;
+  const std::size_t chunk_frames =
+      per_frame == 0
+          ? 1
+          : (std::max<std::size_t>(1, options.chunk) + per_frame - 1) /
+                per_frame;
+  const std::size_t n_chunks = (frames + chunk_frames - 1) / chunk_frames;
 
   const auto evaluate_chunk = [&](std::size_t chunk_index) {
     ChunkResult out;
-    std::vector<MadePrediction> frame;  // predictions of the current frame
-    const CandidateFault* frame_fault = nullptr;
-    for (std::size_t f = bounds[chunk_index]; f < bounds[chunk_index + 1];
-         ++f) {
-      const CandidateFault& fault = catalog.faults[f];
-      const auto map_it = target_map_.find(fault.target);
-      if (map_it == target_map_.end() ||
-          fault.scenario_index >= traces.size()) {
-        ++out.unmapped;
+    std::vector<Prediction> made(per_frame);  // the current frame's
+    const std::size_t first = chunk_index * chunk_frames;
+    const std::size_t last = std::min(first + chunk_frames, frames);
+    std::size_t scenario = 0;
+    std::size_t frame = first;
+    for (std::size_t g = first; g < last; ++g, ++frame) {
+      while (frame >= catalog.frames[scenario])
+        frame -= catalog.frames[scenario++];
+      if (scenario >= traces.size()) {
+        out.unmapped += per_frame;
         continue;
       }
-      const GoldenTrace& trace = traces[fault.scenario_index];
-      if (fault.scene_index >= trace.scenes.size()) {
-        ++out.no_window;
+      out.unmapped += per_frame - mapped_per_frame;
+      const GoldenTrace& trace = traces[scenario];
+      if (frame >= trace.scenes.size()) {
+        out.no_window += mapped_per_frame;
         continue;
       }
-      const ads::SceneRecord& scene = trace.scenes[fault.scene_index];
+      const ads::SceneRecord& scene = trace.scenes[frame];
 
       // Precondition of eq. (1): the scene is safe without the fault.
       if (scene.true_delta_lon <= 0.0 || scene.true_delta_lat <= 0.0 ||
           scene.collided || scene.off_road) {
-        ++out.golden_unsafe;
+        out.golden_unsafe += mapped_per_frame;
         continue;
       }
 
-      if (frame_fault == nullptr || !same_frame(*frame_fault, fault)) {
-        frame.clear();
-        frame_fault = &fault;
-      }
-      const std::string& variable = map_it->second;
-      const auto value_bits = std::bit_cast<std::uint64_t>(
-          fault_value_to_bn_value(fault, variable));
-      auto made = std::find_if(
-          frame.begin(), frame.end(), [&](const MadePrediction& m) {
-            return m.value_bits == value_bits && *m.variable == variable;
-          });
-      if (made == frame.end()) {
-        MadePrediction m{&variable, value_bits, std::nullopt,
-                         PredictSkip::kNone};
-        m.prediction =
-            predictor_.predict(trace, fault.scene_index, variable,
-                               std::bit_cast<double>(value_bits), &m.skip);
-        out.inferences += m.prediction.has_value();
-        frame.push_back(std::move(m));
-        made = frame.end() - 1;
-      }
-      if (!made->prediction) {
-        if (made->skip == PredictSkip::kNoLead)
-          ++out.no_lead;
-        else
-          ++out.no_window;
-        continue;
-      }
-      ++out.evaluated;
+      for (std::size_t k = 0; k < per_frame; ++k) {
+        const Slot& slot = slots[k];
+        if (!slot.mapped) continue;
+        if (slot.first == k) {
+          Prediction& p = made[k];
+          p.delta = predictor_.predict(trace, frame, slot.variable, slot.value,
+                                       &p.skip);
+          out.inferences += p.delta.has_value();
+        }
+        const Prediction& p = made[slot.first];
+        if (!p.delta) {
+          if (p.skip == PredictSkip::kNoLead)
+            ++out.no_lead;
+          else
+            ++out.no_window;
+          continue;
+        }
+        ++out.evaluated;
 
-      if (made->prediction->critical()) {
-        SelectedFault selected;
-        selected.fault = fault;
-        selected.prediction = *made->prediction;
-        selected.golden_delta_lon = scene.true_delta_lon;
-        selected.golden_delta_lat = scene.true_delta_lat;
-        out.critical.push_back(std::move(selected));
+        if (p.delta->critical()) {
+          SelectedFault selected;
+          selected.fault =
+              catalog.fault(scenario, frame, k / 2,
+                            k % 2 == 0 ? Extreme::kMin : Extreme::kMax);
+          selected.prediction = *p.delta;
+          selected.golden_delta_lon = scene.true_delta_lon;
+          selected.golden_delta_lat = scene.true_delta_lat;
+          out.critical.push_back(std::move(selected));
+        }
       }
     }
     return out;
   };
 
+  // Chunks arrive in catalog order, so a fault's rank among the critical
+  // ones is its catalog order. Each chunk's list keeps its buffer, which
+  // the keys point into, until the sort below moves the faults out.
+  struct Key {
+    double delta;
+    std::size_t rank;
+    SelectedFault* fault;
+  };
+  std::vector<Key> keys;
+  std::vector<std::vector<SelectedFault>> parts;
   const ParallelExecutor executor(options.executor);
   executor.run_ordered<ChunkResult>(
       n_chunks, evaluate_chunk, [&](ChunkResult&& partial) {
@@ -172,21 +200,22 @@ SelectionResult BayesianFaultSelector::select_critical_faults(
         result.skipped_no_window += partial.no_window;
         result.skipped_no_lead += partial.no_lead;
         result.skipped_golden_unsafe += partial.golden_unsafe;
-        result.critical.insert(result.critical.end(),
-                               std::make_move_iterator(partial.critical.begin()),
-                               std::make_move_iterator(partial.critical.end()));
+        for (SelectedFault& selected : partial.critical)
+          keys.push_back({std::min(selected.prediction.delta_lon,
+                                   selected.prediction.delta_lat),
+                          keys.size(), &selected});
+        parts.push_back(std::move(partial.critical));
       });
 
-  // Most negative predicted delta first (most critical). Stable: ties keep
-  // catalog order, which chunk-ordered merging made deterministic.
-  std::stable_sort(result.critical.begin(), result.critical.end(),
-                   [](const SelectedFault& a, const SelectedFault& b) {
-                     const double da = std::min(a.prediction.delta_lon,
-                                                a.prediction.delta_lat);
-                     const double db = std::min(b.prediction.delta_lon,
-                                                b.prediction.delta_lat);
-                     return da < db;
-                   });
+  // Most negative predicted delta first (most critical), ties in catalog
+  // order: with distinct ranks and no NaN delta (the golden envelope and
+  // P's distances are finite) this is the order a stable sort by delta
+  // gives, and each fault moves once.
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    return a.delta < b.delta || (a.delta == b.delta && a.rank < b.rank);
+  });
+  result.critical.reserve(keys.size());
+  for (const Key& key : keys) result.critical.push_back(std::move(*key.fault));
 
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

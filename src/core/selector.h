@@ -7,16 +7,15 @@
 /// inference, which is the source of the paper's ~3690x acceleration.
 ///
 /// The sweep is a first-class parallel campaign: select_critical_faults
-/// shards the catalog into chunks that end on a frame boundary over a
-/// ParallelExecutor and merges chunk results in chunk order, so the
-/// SelectionResult -- critical
-/// list, counters, everything except wall_seconds -- is bit-identical at
-/// any thread count (enforced by tests/determinism_test.cpp), exactly like
-/// the Experiment campaigns.
+/// splits the catalog into chunks of whole frames over a ParallelExecutor,
+/// generates each chunk's candidates inside its worker, and merges chunk
+/// results in chunk order, so the SelectionResult -- critical list,
+/// counters, everything except wall_seconds -- is bit-identical at any
+/// thread count (enforced by tests/determinism_test.cpp), exactly like the
+/// Experiment campaigns.
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,9 +68,9 @@ struct SelectionOptions {
 /// the paper's restriction to the variables its BN models.
 std::map<std::string, std::string> default_target_to_bn_variable();
 
-/// Converts a catalog fault's corrupted value into the BN variable's unit
+/// Converts a target's corrupted value into the BN variable's unit
 /// (identity except localization.y, which maps to lane offset).
-double fault_value_to_bn_value(const CandidateFault& fault,
+double fault_value_to_bn_value(const std::string& target, double value,
                                const std::string& bn_variable);
 
 class BayesianFaultSelector {

@@ -142,7 +142,8 @@ bn::Dataset traces_to_dataset(const std::vector<GoldenTrace>& traces,
   for (const auto& trace : traces) {
     for (const auto& scene : trace.scenes) {
       if (require_lead && scene.lead_gap < 0.0) continue;
-      data.add_row(ads::scene_variable_values(scene));
+      const auto values = ads::scene_variable_values(scene);
+      data.add_row({values.begin(), values.end()});
     }
   }
   return data;

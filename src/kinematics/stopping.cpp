@@ -596,8 +596,11 @@ StopPose slide_to_stop(const StopPose& p, double v, double amax,
                   std::asin(sin_a * w_end) / kLaneHoldGain};
 }
 
-StopPose capped_arc(const StopPose& p, double va, double vb, double amax,
-                    int sign) {
+// -ffp-contract=off does not stop GCC's SLP vectorizer from pairing the x
+// and y sums below into a fused vfmsubadd on an FMA target, so that pass
+// is off here and an x86-64-v3 build rounds as the default one does.
+__attribute__((optimize("no-tree-slp-vectorize"))) StopPose capped_arc(
+    const StopPose& p, double va, double vb, double amax, int sign) {
   // dtheta/dv = beta / v with beta = -0.7 sign, and dx = -v cos(theta) dv /
   // amax. F = v^2 (2 cos + beta sin) / (4 + beta^2) has dF/dv = v cos(theta)
   // and G = v^2 (2 sin - beta cos) / (4 + beta^2) has dG/dv = v sin(theta).

@@ -89,32 +89,50 @@ void Histogram::observe(double seconds) {
       break;
     }
   }
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  sum_nanos_.fetch_add(nanos, std::memory_order_relaxed);
-  atomic_min(min_nanos_, nanos);
-  atomic_max(max_nanos_, nanos);
+  // Threads take shards round-robin in the order they first observe.
+  static std::atomic<std::size_t> next_shard{0};
+  thread_local const std::size_t shard_index =
+      next_shard.fetch_add(1, std::memory_order_relaxed) % kShards;
+  Shard& shard = shards_[shard_index];
+  shard.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
+  shard.sum_nanos.fetch_add(nanos, std::memory_order_relaxed);
+  atomic_min(shard.min_nanos, nanos);
+  atomic_max(shard.max_nanos, nanos);
 }
 
 Histogram::Snapshot Histogram::snapshot() const {
   Snapshot snap;
-  for (std::size_t i = 0; i <= kBucketCount; ++i) {
-    snap.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
-    snap.count += snap.buckets[i];
+  std::uint64_t sum_nanos = 0;
+  std::uint64_t min_nanos = ~std::uint64_t{0};
+  std::uint64_t max_nanos = 0;
+  for (const Shard& shard : shards_) {
+    for (std::size_t i = 0; i <= kBucketCount; ++i) {
+      const std::uint64_t n = shard.buckets[i].load(std::memory_order_relaxed);
+      snap.buckets[i] += n;
+      snap.count += n;
+    }
+    sum_nanos += shard.sum_nanos.load(std::memory_order_relaxed);
+    min_nanos =
+        std::min(min_nanos, shard.min_nanos.load(std::memory_order_relaxed));
+    max_nanos =
+        std::max(max_nanos, shard.max_nanos.load(std::memory_order_relaxed));
   }
-  snap.sum_seconds = to_seconds(sum_nanos_.load(std::memory_order_relaxed));
-  const std::uint64_t min_nanos = min_nanos_.load(std::memory_order_relaxed);
+  snap.sum_seconds = to_seconds(sum_nanos);
   snap.min_seconds =
       snap.count == 0 || min_nanos == ~std::uint64_t{0} ? 0.0
                                                         : to_seconds(min_nanos);
-  snap.max_seconds = to_seconds(max_nanos_.load(std::memory_order_relaxed));
+  snap.max_seconds = to_seconds(max_nanos);
   return snap;
 }
 
 void Histogram::reset() {
-  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
-  sum_nanos_.store(0, std::memory_order_relaxed);
-  min_nanos_.store(~std::uint64_t{0}, std::memory_order_relaxed);
-  max_nanos_.store(0, std::memory_order_relaxed);
+  for (Shard& shard : shards_) {
+    for (auto& bucket : shard.buckets)
+      bucket.store(0, std::memory_order_relaxed);
+    shard.sum_nanos.store(0, std::memory_order_relaxed);
+    shard.min_nanos.store(~std::uint64_t{0}, std::memory_order_relaxed);
+    shard.max_nanos.store(0, std::memory_order_relaxed);
+  }
 }
 
 MetricsRegistry& MetricsRegistry::instance() {

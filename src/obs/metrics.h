@@ -65,10 +65,15 @@ class Gauge {
 /// Fixed-bucket latency histogram over seconds. Bucket upper bounds are
 /// exponential: 1e-6 * 4^i for i in [0, kBucketCount) (1 us .. ~67 s), plus
 /// an overflow bucket; observation is a linear scan over 13 bounds and a
-/// handful of relaxed atomic updates, cheap enough for per-run call sites.
+/// handful of relaxed atomic updates, cheap enough for per-call sites such
+/// as procedure P. Writers update one of kShards cache-line-aligned shards,
+/// picked per thread, so threads observing at once do not contend for one
+/// cache line; a snapshot sums the shards (all integer nanoseconds and
+/// counts, so the sum is exact).
 class Histogram {
  public:
   static constexpr std::size_t kBucketCount = 13;
+  static constexpr std::size_t kShards = 8;
 
   /// Upper bound (seconds) of bucket `i`; i == kBucketCount is +inf.
   static double bucket_bound(std::size_t i);
@@ -88,10 +93,13 @@ class Histogram {
   void reset();
 
  private:
-  std::array<std::atomic<std::uint64_t>, kBucketCount + 1> buckets_{};
-  std::atomic<std::uint64_t> sum_nanos_{0};
-  std::atomic<std::uint64_t> min_nanos_{~std::uint64_t{0}};
-  std::atomic<std::uint64_t> max_nanos_{0};
+  struct alignas(64) Shard {
+    std::array<std::atomic<std::uint64_t>, kBucketCount + 1> buckets{};
+    std::atomic<std::uint64_t> sum_nanos{0};
+    std::atomic<std::uint64_t> min_nanos{~std::uint64_t{0}};
+    std::atomic<std::uint64_t> max_nanos{0};
+  };
+  std::array<Shard, kShards> shards_;
 };
 
 /// The process-wide registry. Metric objects are created on first use by

@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -87,6 +91,15 @@ TEST(Determinism, BitflipCampaignIdenticalAcrossThreadCounts) {
   EXPECT_EQ(base, fingerprint(pooled.run(model)));
 }
 
+// One candidate, with exact bit patterns for its doubles.
+std::string fault_fingerprint(const CandidateFault& fault) {
+  std::ostringstream out;
+  out << std::hexfloat << fault.scenario_index << "|" << fault.scene_index
+      << "|" << fault.target << "|" << static_cast<int>(fault.extreme) << "|"
+      << fault.value << "|" << fault.inject_time;
+  return out.str();
+}
+
 // Serializes a SelectionResult except wall_seconds, with exact bit
 // patterns for every double (predictions included).
 std::string selection_fingerprint(const SelectionResult& result) {
@@ -100,53 +113,175 @@ std::string selection_fingerprint(const SelectionResult& result) {
       << " golden_unsafe=" << result.skipped_golden_unsafe
       << " inferences=" << result.inference_calls << "\n";
   for (const auto& sf : result.critical) {
-    out << sf.fault.scenario_index << "|" << sf.fault.scene_index << "|"
-        << sf.fault.target << "|" << static_cast<int>(sf.fault.extreme) << "|"
-        << sf.fault.value << "|" << sf.fault.inject_time << "|"
-        << sf.prediction.delta_lon << "|" << sf.prediction.delta_lat << "|"
-        << sf.prediction.predicted_v << "|" << sf.prediction.predicted_y
-        << "|" << sf.prediction.predicted_theta << "|" << sf.golden_delta_lon
-        << "|" << sf.golden_delta_lat << "\n";
+    out << fault_fingerprint(sf.fault) << "|" << sf.prediction.delta_lon
+        << "|" << sf.prediction.delta_lat << "|" << sf.prediction.predicted_v
+        << "|" << sf.prediction.predicted_y << "|"
+        << sf.prediction.predicted_theta << "|" << sf.golden_delta_lon << "|"
+        << sf.golden_delta_lat << "\n";
   }
   return out.str();
 }
 
-TEST(Determinism, BayesianSelectionIdenticalAcrossThreadCounts) {
+// The reference for the streamed sweep: every candidate materialized in
+// catalog order, then a one-thread pass that looks up each candidate's BN
+// variable by name, predicts each distinct (variable, value) of a frame
+// once, and stable-sorts F_crit by min delta.
+std::vector<CandidateFault> materialized_catalog(
+    const std::vector<sim::Scenario>& scenarios,
+    const std::vector<TargetRange>& targets, double scene_hz) {
+  std::vector<CandidateFault> faults;
+  for (std::size_t s = 0; s < scenarios.size(); ++s) {
+    const std::size_t frames = sim::scene_count(scenarios[s], scene_hz);
+    for (std::size_t frame = 0; frame < frames; ++frame) {
+      const double t = static_cast<double>(frame) / scene_hz;
+      for (const auto& target : targets) {
+        for (const Extreme extreme : {Extreme::kMin, Extreme::kMax}) {
+          CandidateFault fault;
+          fault.scenario_index = s;
+          fault.scene_index = frame;
+          fault.inject_time = t;
+          fault.target = target.name;
+          fault.extreme = extreme;
+          fault.value = extreme == Extreme::kMin ? target.min_value
+                                                 : target.max_value;
+          faults.push_back(std::move(fault));
+        }
+      }
+    }
+  }
+  return faults;
+}
+
+SelectionResult oracle_selection(const SafetyPredictor& predictor,
+                                 const std::vector<CandidateFault>& faults,
+                                 const std::vector<GoldenTrace>& traces) {
+  const auto target_map = default_target_to_bn_variable();
+  SelectionResult result;
+  result.candidates_total = faults.size();
+  struct Made {
+    std::string variable;
+    std::uint64_t value_bits;
+    std::optional<DeltaPrediction> prediction;
+    PredictSkip skip;
+  };
+  std::vector<Made> frame;
+  const CandidateFault* frame_fault = nullptr;
+  for (const CandidateFault& fault : faults) {
+    const auto map_it = target_map.find(fault.target);
+    if (map_it == target_map.end() || fault.scenario_index >= traces.size()) {
+      ++result.skipped_unmapped;
+      continue;
+    }
+    const GoldenTrace& trace = traces[fault.scenario_index];
+    if (fault.scene_index >= trace.scenes.size()) {
+      ++result.skipped_no_window;
+      continue;
+    }
+    const ads::SceneRecord& scene = trace.scenes[fault.scene_index];
+    if (scene.true_delta_lon <= 0.0 || scene.true_delta_lat <= 0.0 ||
+        scene.collided || scene.off_road) {
+      ++result.skipped_golden_unsafe;
+      continue;
+    }
+    if (frame_fault == nullptr ||
+        frame_fault->scenario_index != fault.scenario_index ||
+        frame_fault->scene_index != fault.scene_index) {
+      frame.clear();
+      frame_fault = &fault;
+    }
+    const std::string& variable = map_it->second;
+    const double value =
+        fault_value_to_bn_value(fault.target, fault.value, variable);
+    const auto bits = std::bit_cast<std::uint64_t>(value);
+    auto made = std::find_if(frame.begin(), frame.end(), [&](const Made& m) {
+      return m.value_bits == bits && m.variable == variable;
+    });
+    if (made == frame.end()) {
+      Made m{variable, bits, std::nullopt, PredictSkip::kNone};
+      m.prediction =
+          predictor.predict(trace, fault.scene_index, variable, value, &m.skip);
+      result.inference_calls += m.prediction.has_value();
+      frame.push_back(std::move(m));
+      made = frame.end() - 1;
+    }
+    if (!made->prediction) {
+      if (made->skip == PredictSkip::kNoLead)
+        ++result.skipped_no_lead;
+      else
+        ++result.skipped_no_window;
+      continue;
+    }
+    ++result.candidates_evaluated;
+    if (made->prediction->critical())
+      result.critical.push_back({fault, *made->prediction,
+                                 scene.true_delta_lon, scene.true_delta_lat});
+  }
+  std::stable_sort(result.critical.begin(), result.critical.end(),
+                   [](const SelectedFault& a, const SelectedFault& b) {
+                     return std::min(a.prediction.delta_lon,
+                                     a.prediction.delta_lat) <
+                            std::min(b.prediction.delta_lon,
+                                     b.prediction.delta_lat);
+                   });
+  return result;
+}
+
+TEST(Determinism, BayesianSelectionMatchesTheMaterializedOracle) {
   // The parallel catalog sweep is a first-class campaign: its
   // SelectionResult (F_crit order, counters, every predicted double) must
-  // be bit-identical at 1, 2, and 8 threads, and across repeated runs.
-  const Experiment experiment = make_experiment(1);
+  // equal the oracle's bit for bit at any thread count and chunk size
+  // (one candidate, an awkward 17, the default, more than the catalog),
+  // over several scenarios so chunks cross scenario boundaries.
+  const auto all = sim::base_suite();
+  const std::vector<sim::Scenario> suite(all.begin(), all.begin() + 3);
+  const Experiment experiment(suite, test_pipeline_config());
   const SafetyPredictor predictor(experiment.goldens());
   const BayesianFaultSelector selector(predictor);
-  const auto catalog = build_catalog(experiment.scenarios(),
-                                     default_target_ranges(), 7.5);
+  const auto targets = default_target_ranges();
+  const FaultCatalog catalog = build_catalog(suite, targets, 7.5);
+  const std::vector<CandidateFault> faults =
+      materialized_catalog(suite, targets, 7.5);
 
-  std::string base;
-  for (unsigned threads : {1u, 2u, 8u}) {
-    SelectionOptions options;
-    options.executor.threads = threads;
-    const SelectionResult result =
-        selector.select_critical_faults(catalog, experiment.goldens(), options);
-    EXPECT_GT(result.candidates_evaluated, 0u);
-    const std::string fp = selection_fingerprint(result);
-    if (threads == 1) {
-      base = fp;
-      // And stable across consecutive runs of the same configuration.
-      EXPECT_EQ(base, selection_fingerprint(selector.select_critical_faults(
-                          catalog, experiment.goldens(), options)));
-    } else {
-      EXPECT_EQ(base, fp)
-          << threads << "-thread selection diverged from single-threaded";
+  // The description lists the materialized candidates, in their order.
+  ASSERT_EQ(catalog.size(), faults.size());
+  for (std::size_t i = 0; i < faults.size(); ++i)
+    ASSERT_EQ(fault_fingerprint(catalog.at(i)), fault_fingerprint(faults[i]))
+        << "position " << i;
+  EXPECT_THROW(catalog.at(catalog.size()), std::out_of_range);
+
+  const SelectionResult reference =
+      oracle_selection(predictor, faults, experiment.goldens());
+  ASSERT_FALSE(reference.critical.empty());
+  const std::string oracle = selection_fingerprint(reference);
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    for (const std::size_t chunk :
+         {std::size_t{1}, std::size_t{17}, std::size_t{256},
+          catalog.size() + 1}) {
+      SelectionOptions options;
+      options.executor.threads = threads;
+      options.chunk = chunk;
+      EXPECT_EQ(oracle,
+                selection_fingerprint(selector.select_critical_faults(
+                    catalog, experiment.goldens(), options)))
+          << threads << " threads, chunk " << chunk;
     }
   }
 
-  // An awkward chunk size (not dividing the catalog, smaller than a
-  // thread's share) must not change the result either.
-  SelectionOptions odd;
-  odd.executor.threads = 3;
-  odd.chunk = 17;
-  EXPECT_EQ(base, selection_fingerprint(selector.select_critical_faults(
-                      catalog, experiment.goldens(), odd)));
+  // A scenario without frames and one past the traces: the sweep walks
+  // over the first and counts the second's candidates unmapped.
+  sim::Scenario empty = suite[0];
+  empty.duration = 0.0;
+  const std::vector<sim::Scenario> ragged = {suite[0], empty, suite[1],
+                                             suite[2]};
+  SelectionOptions options;
+  options.executor.threads = 2;
+  options.chunk = 40;
+  EXPECT_EQ(selection_fingerprint(oracle_selection(
+                predictor, materialized_catalog(ragged, targets, 7.5),
+                experiment.goldens())),
+            selection_fingerprint(selector.select_critical_faults(
+                build_catalog(ragged, targets, 7.5), experiment.goldens(),
+                options)));
 }
 
 TEST(Determinism, EveryEngineSettingMatchesTheFullReplayOracle) {

@@ -7,6 +7,7 @@
 // tests/determinism_test.cpp (ObservabilityIsInert).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -49,31 +50,58 @@ TEST(Metrics, CounterConcurrentHammeringIsExact) {
 }
 
 TEST(Metrics, HistogramConcurrentObserveIsConsistent) {
+  // Threads observe into their own shards and a snapshot sums them, so
+  // every field is exact, not merely close, and reset() clears all shards.
   obs::Histogram& hist = obs::metrics().histogram("obs_test.hist");
   hist.reset();
   constexpr unsigned kThreads = 4;
   constexpr std::uint64_t kPerThread = 10000;
-  std::vector<std::thread> pool;
-  for (unsigned t = 0; t < kThreads; ++t)
-    pool.emplace_back([&hist, t] {
-      // Each thread observes a distinct fixed value so min/max/sum are
-      // exactly predictable.
-      const double value = 1e-5 * static_cast<double>(t + 1);
-      for (std::uint64_t i = 0; i < kPerThread; ++i) hist.observe(value);
-    });
-  for (auto& t : pool) t.join();
+  const auto observe_from_threads = [&hist](double base) {
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < kThreads; ++t)
+      pool.emplace_back([&hist, base, t] {
+        // Each thread observes a distinct fixed value so every field is
+        // exactly predictable.
+        const double value = base * static_cast<double>(t + 1);
+        for (std::uint64_t i = 0; i < kPerThread; ++i) hist.observe(value);
+      });
+    for (auto& t : pool) t.join();
+  };
+  const auto expect_exact = [&hist](std::uint64_t unit_nanos,
+                                    std::array<std::uint64_t, 14> buckets) {
+    const obs::Histogram::Snapshot snap = hist.snapshot();
+    const std::uint64_t count = kThreads * kPerThread;
+    EXPECT_EQ(snap.count, count);
+    // Histograms keep integer nanoseconds: 1 + 2 + 3 + 4 units a round.
+    EXPECT_EQ(snap.sum_seconds,
+              static_cast<double>(kPerThread * 10 * unit_nanos) * 1e-9);
+    EXPECT_EQ(snap.min_seconds, static_cast<double>(unit_nanos) * 1e-9);
+    EXPECT_EQ(snap.max_seconds, static_cast<double>(4 * unit_nanos) * 1e-9);
+    EXPECT_EQ(snap.buckets, buckets);
+    // Count is derived from the bucket array, so the two can never
+    // disagree within one snapshot.
+    std::uint64_t bucket_total = 0;
+    for (const std::uint64_t b : snap.buckets) bucket_total += b;
+    EXPECT_EQ(bucket_total, snap.count);
+  };
 
-  const obs::Histogram::Snapshot snap = hist.snapshot();
-  EXPECT_EQ(snap.count, kThreads * kPerThread);
-  EXPECT_DOUBLE_EQ(snap.min_seconds, 1e-5);
-  EXPECT_DOUBLE_EQ(snap.max_seconds, 4e-5);
-  EXPECT_NEAR(snap.sum_seconds,
-              kPerThread * (1e-5 + 2e-5 + 3e-5 + 4e-5), 1e-9);
-  // Count is derived from the bucket array, so the two can never disagree
-  // within one snapshot.
-  std::uint64_t bucket_total = 0;
-  for (const std::uint64_t b : snap.buckets) bucket_total += b;
-  EXPECT_EQ(bucket_total, snap.count);
+  // 10, 20, 30 and 40 us: the first lands at or under 16 us, the rest
+  // under 64 us.
+  observe_from_threads(1e-5);
+  expect_exact(10000, {0, 0, kPerThread, 3 * kPerThread});
+
+  hist.reset();
+  const obs::Histogram::Snapshot cleared = hist.snapshot();
+  EXPECT_EQ(cleared.count, 0u);
+  EXPECT_EQ(cleared.sum_seconds, 0.0);
+  EXPECT_EQ(cleared.min_seconds, 0.0);
+  EXPECT_EQ(cleared.max_seconds, 0.0);
+  EXPECT_EQ(cleared.buckets, (std::array<std::uint64_t, 14>{}));
+
+  // New threads take other shards; the old ones must not leak back in.
+  // 2 and 4 ms land at or under 4.096 ms, 6 and 8 ms under 16.384 ms.
+  observe_from_threads(2e-3);
+  expect_exact(2000000, {0, 0, 0, 0, 0, 0, 2 * kPerThread, 2 * kPerThread});
 }
 
 TEST(Metrics, HistogramBucketsAreExponential) {
