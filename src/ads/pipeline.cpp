@@ -54,24 +54,30 @@ AdsPipeline::AdsPipeline(sim::World& world, const PipelineConfig& config)
       watchdog_(config.watchdog) {
   build_modules();
   register_fault_targets();
+}
+
+void AdsPipeline::arm_value_fault(const ValueFault& fault) {
   // Stuck-at semantics for value faults: re-assert armed corruptions after
   // every module firing, so a producer republishing inside the hold window
-  // cannot scrub the fault before its consumer reads it.
-  scheduler_.set_post_module_hook(
-      [this](double t) { apply_value_faults(t); });
+  // cannot scrub the fault before its consumer reads it. A run with no
+  // value fault armed has nothing to re-assert and installs no hook.
+  if (value_faults_.empty())
+    scheduler_.set_post_module_hook(
+        [this](double t) { apply_value_faults(t); });
+  value_faults_.push_back(fault);
 }
 
 void AdsPipeline::build_modules() {
   // Registration order = execution order within a tick; mirrors the
   // sensor -> perception -> planning -> control dataflow.
   scheduler_.add_module("imu", config_.imu_hz, [this](double t) {
-    const ImuMsg msg = sense_imu(world_, config_.imu_noise, rng_);
+    ImuMsg msg = sense_imu(world_, config_.imu_noise, rng_);
     imu_.publish(msg, t);
     arch_.retire_instructions(kInstrImu);
   });
 
   scheduler_.add_module("gps", config_.gps_hz, [this](double t) {
-    const GpsMsg msg = sense_gps(world_, config_.gps_noise, rng_);
+    GpsMsg msg = sense_gps(world_, config_.gps_noise, rng_);
     gps_.publish(msg, t);
     arch_.retire_instructions(kInstrGps);
   });
@@ -97,7 +103,8 @@ void AdsPipeline::build_modules() {
         if (finite(gps.x) && finite(gps.y) && finite(gps.heading))
           ekf_.update_gps(gps);
       }
-      localization_.publish(ekf_.estimate(t), t);
+      LocalizationMsg msg = ekf_.estimate(t);
+      localization_.publish(msg, t);
     } else {
       // Ablation: raw passthrough, no fusion or gating.
       if (!gps_.has_message()) return;
@@ -113,8 +120,8 @@ void AdsPipeline::build_modules() {
   });
 
   scheduler_.add_module("perception", config_.perception_hz, [this](double t) {
-    const DetectionMsg det = sense_objects(world_, config_.object_sensor, rng_);
-    detections_.publish(det, t);
+    sense_objects(world_, config_.object_sensor, rng_, detections_spare_);
+    detections_.publish(detections_spare_, t);
 
     if (!localization_.has_message()) return;
     const LocalizationMsg& loc = localization_.latest();
@@ -122,9 +129,9 @@ void AdsPipeline::build_modules() {
       hang("perception");
       return;
     }
-    WorldModelMsg wm;
+    WorldModelMsg& wm = world_model_spare_;
     wm.t = t;
-    wm.objects = tracker_.update(detections_.latest(), t);
+    tracker_.update(detections_.latest(), t, wm.objects);
     annotate_lead(wm, loc);
     world_model_.publish(wm, t);
     arch_.retire_instructions(kInstrPerception);
@@ -142,7 +149,8 @@ void AdsPipeline::build_modules() {
     const double lane_center = world_.road().lane_center(
         std::clamp(static_cast<int>(std::lround(loc.y / world_.road().lane_width)),
                    0, world_.road().lanes - 1));
-    plan_.publish(plan(loc, wm, lane_center, config_.planner, t), t);
+    PlanMsg msg = plan(loc, wm, lane_center, config_.planner, t);
+    plan_.publish(msg, t);
     arch_.retire_instructions(kInstrPlanner);
   });
 
@@ -154,10 +162,10 @@ void AdsPipeline::build_modules() {
       return;
     }
     if (config_.use_pid) {
-      control_.publish(pid_.control(p, imu_.latest().accel,
+      ControlMsg msg = pid_.control(p, imu_.latest().accel,
                                     imu_.latest().speed,
-                                    1.0 / config_.control_hz, t),
-                       t);
+                                    1.0 / config_.control_hz, t);
+      control_.publish(msg, t);
     } else {
       // Ablation: bang-bang conversion of the raw plan, no smoothing.
       ControlMsg msg;
@@ -181,7 +189,7 @@ void AdsPipeline::build_modules() {
         last_primary_control_time_ < 0.0 ? t : t - last_primary_control_time_;
     const double last_steer =
         control_.has_message() ? control_.latest().steering : 0.0;
-    const auto override_msg =
+    auto override_msg =
         watchdog_.monitor(age, last_steer, 1.0 / config_.control_hz, t);
     if (override_msg) control_.publish(*override_msg, t);
   });
@@ -357,8 +365,8 @@ void AdsPipeline::hang(const std::string& module) {
 
 void AdsPipeline::step() {
   scheduler_.step();
-  apply_value_faults(scheduler_.now());
-  apply_bit_faults();
+  if (!value_faults_.empty()) apply_value_faults(scheduler_.now());
+  if (!bit_faults_.empty()) apply_bit_faults();
 
   // Vehicle interface: act on the latest control command (stale commands
   // persist if the control module hangs -- the hazardous failure mode).

@@ -221,7 +221,7 @@ class AdsPipeline {
   // Fault interface.
   runtime::FaultRegistry& fault_registry() { return registry_; }
   hw::ArchState& arch_state() { return arch_; }
-  void arm_value_fault(const ValueFault& fault) { value_faults_.push_back(fault); }
+  void arm_value_fault(const ValueFault& fault);
   void arm_bit_fault(const BitFault& fault) { bit_faults_.push_back(fault); }
 
   // Module health (hang/crash modeling: a module consuming a non-finite
@@ -278,6 +278,13 @@ class AdsPipeline {
   runtime::Channel<WorldModelMsg> world_model_{"world_model"};
   runtime::Channel<PlanMsg> plan_{"plan"};
   runtime::Channel<ControlMsg> control_{"control"};
+  // The storage the detections and world-model channels handed back at
+  // their last publish. Perception refills them each tick, so it allocates
+  // nothing once their lists have grown. Not state: snapshot() and
+  // state_matches() leave them out, and every field is overwritten before
+  // it is published.
+  DetectionMsg detections_spare_;
+  WorldModelMsg world_model_spare_;
 
   LocalizationEkf ekf_;
   ObjectTracker tracker_;

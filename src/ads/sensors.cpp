@@ -30,11 +30,11 @@ ImuMsg sense_imu(const sim::World& world, const ImuNoise& noise,
   return msg;
 }
 
-DetectionMsg sense_objects(const sim::World& world,
-                           const ObjectSensorConfig& config, util::Rng& rng) {
-  DetectionMsg msg;
+void sense_objects(const sim::World& world, const ObjectSensorConfig& config,
+                   util::Rng& rng, DetectionMsg& msg) {
   msg.t = world.time();
   msg.range_used = config.range;
+  msg.detections.clear();
 
   const auto& ego = world.ego();
   const auto& vehicles = world.vehicles();
@@ -76,7 +76,6 @@ DetectionMsg sense_objects(const sim::World& world,
     det.width = tv.config.width;
     msg.detections.push_back(det);
   }
-  return msg;
 }
 
 }  // namespace drivefi::ads

@@ -59,8 +59,10 @@ ImuMsg sense_imu(const sim::World& world, const ImuNoise& noise,
                  util::Rng& rng);
 
 // Detections of all TVs within range and not occluded by a nearer TV in
-// approximately the same bearing corridor.
-DetectionMsg sense_objects(const sim::World& world,
-                           const ObjectSensorConfig& config, util::Rng& rng);
+// approximately the same bearing corridor. Overwrites every field of `msg`
+// and keeps the capacity of its detection list, so a caller that reuses
+// one message allocates nothing once the list has grown.
+void sense_objects(const sim::World& world, const ObjectSensorConfig& config,
+                   util::Rng& rng, DetectionMsg& msg);
 
 }  // namespace drivefi::ads

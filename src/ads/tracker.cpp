@@ -107,8 +107,8 @@ void ObjectTracker::correct(Track& track, const Detection& det) const {
   track.width = det.width;
 }
 
-std::vector<TrackedObject> ObjectTracker::update(const DetectionMsg& detections,
-                                                 double t) {
+void ObjectTracker::update(const DetectionMsg& detections, double t,
+                           std::vector<TrackedObject>& confirmed) {
   const double dt = last_time_ >= 0.0 ? t - last_time_ : 0.0;
   last_time_ = t;
 
@@ -171,7 +171,7 @@ std::vector<TrackedObject> ObjectTracker::update(const DetectionMsg& detections,
   }
 
   // Publish confirmed tracks only.
-  std::vector<TrackedObject> out;
+  confirmed.clear();
   for (const auto& track : tracks_) {
     if (track.hits < config_.min_hits) continue;
     TrackedObject obj;
@@ -183,9 +183,8 @@ std::vector<TrackedObject> ObjectTracker::update(const DetectionMsg& detections,
     obj.length = track.length;
     obj.width = track.width;
     obj.age_frames = track.hits;
-    out.push_back(obj);
+    confirmed.push_back(obj);
   }
-  return out;
 }
 
 void annotate_lead(WorldModelMsg& world, const LocalizationMsg& ego,

@@ -61,8 +61,10 @@ class ObjectTracker {
   bool state_equals(const Snapshot& snap) const;
 
   // One tracker frame: predict all tracks to `t`, associate detections,
-  // update/spawn/prune. Returns the confirmed tracks.
-  std::vector<TrackedObject> update(const DetectionMsg& detections, double t);
+  // update/spawn/prune. Replaces `confirmed` with the confirmed tracks,
+  // keeping its capacity.
+  void update(const DetectionMsg& detections, double t,
+              std::vector<TrackedObject>& confirmed);
 
   void reset();
   std::size_t live_track_count() const { return tracks_.size(); }

@@ -41,9 +41,16 @@ class Channel {
     last_publish_time_ = snap.last_publish_time;
   }
 
-  void publish(T message, double now) {
+  // Publishes `message` by swapping it with the latest message, so the
+  // producer gets the previous message back in `message` (a default T
+  // before the first publish). A producer that refills the same buffer
+  // each tick thereby reuses the channel's heap storage instead of
+  // allocating; for a trivially copyable T the swap costs what a move does.
+  // The hook sees the new message before it is published.
+  void publish(T& message, double now) {
     if (hook_) hook_(message, now);
-    latest_ = std::move(message);
+    if (!latest_) latest_.emplace();
+    std::swap(*latest_, message);
     ++sequence_;
     last_publish_time_ = now;
   }

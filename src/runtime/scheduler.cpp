@@ -6,6 +6,14 @@
 
 namespace drivefi::runtime {
 
+namespace {
+
+std::uint64_t next_multiple(std::uint64_t tick, std::uint64_t period) {
+  return (tick + period - 1) / period * period;
+}
+
+}  // namespace
+
 Scheduler::Snapshot Scheduler::snapshot() const {
   Snapshot snap;
   snap.tick = tick_;
@@ -21,6 +29,7 @@ void Scheduler::restore(const Snapshot& snap) {
   tick_ = snap.tick;
   for (std::size_t i = 0; i < entries_.size() && i < snap.enabled.size(); ++i)
     entries_[i].enabled = snap.enabled[i] != 0;
+  for (auto& e : entries_) e.next_due = next_multiple(tick_, e.period_ticks);
 }
 
 bool Scheduler::state_equals(const Snapshot& snap) const {
@@ -48,7 +57,8 @@ void Scheduler::add_module(const std::string& name, double rate_hz,
         "Scheduler::add_module(\"" + name + "\"): rate " +
         std::to_string(rate_hz) + " Hz does not evenly divide the " +
         std::to_string(base_hz_) + " Hz base rate");
-  entries_.push_back({name, period, std::move(tick_fn), true});
+  entries_.push_back({name, period, std::move(tick_fn), true,
+                      next_multiple(tick_, period)});
 }
 
 void Scheduler::set_enabled(const std::string& name, bool enabled) {
@@ -69,11 +79,11 @@ void Scheduler::set_post_module_hook(std::function<void(double)> hook) {
 void Scheduler::step() {
   const double t = now();
   for (auto& e : entries_) {
+    if (e.next_due != tick_) continue;
+    e.next_due += e.period_ticks;
     if (!e.enabled) continue;
-    if (tick_ % e.period_ticks == 0) {
-      e.tick_fn(t);
-      if (post_module_hook_) post_module_hook_(t);
-    }
+    e.tick_fn(t);
+    if (post_module_hook_) post_module_hook_(t);
   }
   ++tick_;
 }

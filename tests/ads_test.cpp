@@ -65,12 +65,20 @@ TEST(Sensors, ImuMeasuresYawRate) {
   EXPECT_NEAR(msg.yaw_rate, 20.0 * std::tan(0.1) / 2.8, 1e-9);
 }
 
+// The object sensor's detections into a fresh message.
+DetectionMsg sense(const sim::World& world, const ObjectSensorConfig& config,
+                   util::Rng& rng) {
+  DetectionMsg msg;
+  sense_objects(world, config, rng, msg);
+  return msg;
+}
+
 TEST(Sensors, ObjectsWithinRangeDetected) {
   sim::World world(world_with_lead(50.0, 28.0));
   util::Rng rng(3);
   ObjectSensorConfig config;
   config.dropout_probability = 0.0;
-  const DetectionMsg msg = sense_objects(world, config, rng);
+  const DetectionMsg msg = sense(world, config, rng);
   ASSERT_EQ(msg.detections.size(), 1u);
   EXPECT_NEAR(msg.detections[0].x, 50.0, 1.5);
 }
@@ -81,7 +89,7 @@ TEST(Sensors, OutOfRangeInvisible) {
   ObjectSensorConfig config;
   config.range = 200.0;
   config.dropout_probability = 0.0;
-  EXPECT_TRUE(sense_objects(world, config, rng).detections.empty());
+  EXPECT_TRUE(sense(world, config, rng).detections.empty());
 }
 
 TEST(Sensors, OcclusionHidesVehicleBehindLead) {
@@ -98,13 +106,13 @@ TEST(Sensors, OcclusionHidesVehicleBehindLead) {
   util::Rng rng(5);
   ObjectSensorConfig sensor;
   sensor.dropout_probability = 0.0;
-  const DetectionMsg msg = sense_objects(world, sensor, rng);
+  const DetectionMsg msg = sense(world, sensor, rng);
   ASSERT_EQ(msg.detections.size(), 1u);  // only the lead
   EXPECT_NEAR(msg.detections[0].x, 40.0, 1.5);
 
   // Without occlusion modeling both are visible.
   sensor.model_occlusion = false;
-  EXPECT_EQ(sense_objects(world, sensor, rng).detections.size(), 2u);
+  EXPECT_EQ(sense(world, sensor, rng).detections.size(), 2u);
 }
 
 TEST(Sensors, AdjacentLaneNotOccluding) {
@@ -120,7 +128,7 @@ TEST(Sensors, AdjacentLaneNotOccluding) {
   util::Rng rng(6);
   ObjectSensorConfig sensor;
   sensor.dropout_probability = 0.0;
-  EXPECT_EQ(sense_objects(world, sensor, rng).detections.size(), 2u);
+  EXPECT_EQ(sense(world, sensor, rng).detections.size(), 2u);
 }
 
 // ---------- EKF ----------
@@ -270,13 +278,23 @@ DetectionMsg detections_at(double t, std::vector<std::pair<double, double>> xy,
   return msg;
 }
 
+// One tracker frame; returns the confirmed tracks.
+std::vector<TrackedObject> confirmed(ObjectTracker& tracker,
+                                     const DetectionMsg& msg, double t) {
+  std::vector<TrackedObject> tracks;
+  tracker.update(msg, t, tracks);
+  return tracks;
+}
+
 TEST(Tracker, ConfirmationDelay) {
   ObjectTracker tracker;  // min_hits = 3
   const double dt = 1.0 / 30.0;
-  EXPECT_TRUE(tracker.update(detections_at(0.0, {{50.0, 0.0}}), 0.0).empty());
-  EXPECT_TRUE(tracker.update(detections_at(dt, {{50.8, 0.0}}), dt).empty());
+  EXPECT_TRUE(
+      confirmed(tracker, detections_at(0.0, {{50.0, 0.0}}), 0.0).empty());
+  EXPECT_TRUE(
+      confirmed(tracker, detections_at(dt, {{50.8, 0.0}}), dt).empty());
   const auto tracks =
-      tracker.update(detections_at(2 * dt, {{51.6, 0.0}}), 2 * dt);
+      confirmed(tracker, detections_at(2 * dt, {{51.6, 0.0}}), 2 * dt);
   ASSERT_EQ(tracks.size(), 1u);  // confirmed on the 3rd hit
   EXPECT_NEAR(tracks[0].x, 51.6, 1.0);
 }
@@ -288,7 +306,7 @@ TEST(Tracker, VelocityEstimateConverges) {
   std::vector<TrackedObject> tracks;
   for (int i = 0; i < 60; ++i) {
     const double t = i * dt;
-    tracks = tracker.update(detections_at(t, {{40.0 + v * t, 0.0}}, v), t);
+    tracker.update(detections_at(t, {{40.0 + v * t, 0.0}}, v), t, tracks);
   }
   ASSERT_EQ(tracks.size(), 1u);
   EXPECT_NEAR(tracks[0].vx, v, 1.0);
@@ -299,12 +317,12 @@ TEST(Tracker, DropsAfterMisses) {
   const double dt = 1.0 / 30.0;
   for (int i = 0; i < 10; ++i) {
     const double t = i * dt;
-    tracker.update(detections_at(t, {{50.0, 0.0}}), t);
+    confirmed(tracker, detections_at(t, {{50.0, 0.0}}), t);
   }
   EXPECT_EQ(tracker.live_track_count(), 1u);
   for (int i = 10; i < 17; ++i) {
     const double t = i * dt;
-    tracker.update(detections_at(t, {}), t);
+    confirmed(tracker, detections_at(t, {}), t);
   }
   EXPECT_EQ(tracker.live_track_count(), 0u);
 }
@@ -315,8 +333,9 @@ TEST(Tracker, TwoObjectsKeepDistinctIds) {
   std::vector<TrackedObject> tracks;
   for (int i = 0; i < 10; ++i) {
     const double t = i * dt;
-    tracks = tracker.update(
-        detections_at(t, {{50.0 + 25.0 * t, 0.0}, {80.0 + 20.0 * t, 3.7}}), t);
+    tracker.update(
+        detections_at(t, {{50.0 + 25.0 * t, 0.0}, {80.0 + 20.0 * t, 3.7}}), t,
+        tracks);
   }
   ASSERT_EQ(tracks.size(), 2u);
   EXPECT_NE(tracks[0].id, tracks[1].id);
@@ -856,7 +875,8 @@ TEST(FilterBits, TrackerMatchesHeapBackedArithmetic) {
       DetectionMsg msg;
       msg.t = t;
       msg.detections.push_back(det);
-      const std::vector<TrackedObject> published = tracker.update(msg, t);
+      std::vector<TrackedObject> published;
+      tracker.update(msg, t, published);
 
       // One track and one detection: predict, then correct if associated.
       const double frame_dt = t - last_time;

@@ -8,6 +8,7 @@
 // byte-identical to the uninterrupted single-process run. CI runs this
 // suite plain and under ASan/UBSan.
 #include <gtest/gtest.h>
+#include <poll.h>
 
 #include <chrono>
 #include <filesystem>
@@ -566,7 +567,9 @@ TEST(Chaos, WorkerStopsOnCompleteWhenTheFinishedCoordinatorHangsUp) {
   // a reset, and the victim's next send fails. The victim must find the
   // buffered `complete` and stop, not go offline and spend its reconnect
   // budget on a coordinator that is gone. The lease's tails run and stream
-  // one record per run, in index order, so the hang-up lands mid-lease.
+  // one record per run, in index order. The coordinator hangs up as soon as
+  // a record waits unread behind the first, so the hang-up lands early in
+  // the lease however fast a run is, and the unread bytes make it a reset.
   const Experiment experiment = make_experiment(1);
   const RandomValueModel model(100, 77);
   auto listener = std::make_unique<net::TcpListener>("127.0.0.1", 0);
@@ -581,8 +584,9 @@ TEST(Chaos, WorkerStopsOnCompleteWhenTheFinishedCoordinatorHangsUp) {
         conn.send_line(coord::encode(lease));
         std::string line;
         ASSERT_EQ(conn.recv_line(&line, 10.0), net::RecvStatus::kMessage);
-        // Let records queue up unread, then finish the campaign.
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        // Let a record queue up unread, then finish the campaign.
+        pollfd unread{conn.socket().fd(), POLLIN, 0};
+        ASSERT_EQ(::poll(&unread, 1, 10'000), 1);
         conn.send_line(coord::encode(coord::CompleteMsg{}));
       });
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -104,6 +105,193 @@ TEST(Bicycle, Rk4ConvergenceOrder) {
   // Some order-reduction is expected because phi/accel are held piecewise
   // constant; still expect clearly better than 2nd order (factor 4).
   EXPECT_LT(err_fine, err_coarse / 3.0);
+}
+
+// The bicycle step as it was before it computed tan(phi) once per step:
+// each RK4 stage takes atan of the friction cap and tan of the capped
+// angle. `stages` receives, per stage, the stage speed and the cap (NaN
+// when v <= 1 and no cap applies).
+struct StageView {
+  double v = 0.0;
+  double limit = 0.0;
+};
+
+double reference_accel(double v, double throttle, double brake,
+                       const VehicleParams& params) {
+  double accel = throttle * params.max_accel - brake * params.max_brake_decel -
+                 0.0008 * v * v;
+  if (v <= 0.0 && accel < 0.0) accel = 0.0;
+  return accel;
+}
+
+struct ReferenceDeriv {
+  double dx, dy, dtheta, dv;
+};
+
+ReferenceDeriv reference_derivatives(double theta, double v, double phi,
+                                     double throttle, double brake,
+                                     const VehicleParams& params,
+                                     StageView* stage) {
+  double phi_eff = phi;
+  stage->v = v;
+  stage->limit = std::nan("");
+  if (!(v <= 1.0)) {
+    const double tan_limit =
+        params.max_lateral_accel * params.wheelbase / (v * v);
+    const double limit = std::atan(tan_limit);
+    stage->limit = limit;
+    phi_eff = std::clamp(phi, -limit, limit);
+  }
+  return ReferenceDeriv{
+      v * std::cos(theta),
+      v * std::sin(theta),
+      v * std::tan(phi_eff) / params.wheelbase,
+      reference_accel(v, throttle, brake, params),
+  };
+}
+
+VehicleState reference_step(const VehicleState& state, const Actuation& act,
+                            const VehicleParams& params, double dt,
+                            std::array<StageView, 4>* stages) {
+  VehicleState s = state;
+  const double target_phi =
+      std::clamp(act.steering, -params.max_steering, params.max_steering);
+  const double max_dphi = params.steering_rate * dt;
+  s.phi += std::clamp(target_phi - s.phi, -max_dphi, max_dphi);
+
+  const double throttle = std::clamp(act.throttle, 0.0, 1.0);
+  const double brake = std::clamp(act.brake, 0.0, 1.0);
+
+  const ReferenceDeriv k1 = reference_derivatives(
+      s.theta, s.v, s.phi, throttle, brake, params, &(*stages)[0]);
+  const ReferenceDeriv k2 = reference_derivatives(
+      s.theta + 0.5 * dt * k1.dtheta, std::max(0.0, s.v + 0.5 * dt * k1.dv),
+      s.phi, throttle, brake, params, &(*stages)[1]);
+  const ReferenceDeriv k3 = reference_derivatives(
+      s.theta + 0.5 * dt * k2.dtheta, std::max(0.0, s.v + 0.5 * dt * k2.dv),
+      s.phi, throttle, brake, params, &(*stages)[2]);
+  const ReferenceDeriv k4 = reference_derivatives(
+      s.theta + dt * k3.dtheta, std::max(0.0, s.v + dt * k3.dv), s.phi,
+      throttle, brake, params, &(*stages)[3]);
+
+  s.x += dt / 6.0 * (k1.dx + 2.0 * k2.dx + 2.0 * k3.dx + k4.dx);
+  s.y += dt / 6.0 * (k1.dy + 2.0 * k2.dy + 2.0 * k3.dy + k4.dy);
+  s.theta += dt / 6.0 * (k1.dtheta + 2.0 * k2.dtheta + 2.0 * k3.dtheta + k4.dtheta);
+  s.v += dt / 6.0 * (k1.dv + 2.0 * k2.dv + 2.0 * k3.dv + k4.dv);
+  s.v = std::clamp(s.v, 0.0, params.max_speed);
+  s.a = reference_accel(s.v, throttle, brake, params);
+  return s;
+}
+
+// step() takes tan(phi) once per step and skips the cap's atan unless
+// |phi| may reach it. Every bit of its result must equal the per-stage
+// reference's, so the sweep aims at the edges of that shortcut: phi
+// within a hair of the cap, stages that straddle it or v = 1, the special
+// values of phi, and vehicle parameters a `.scn` file may set.
+TEST(Bicycle, StepMatchesPerStageReferenceBitForBitOnSeededSweep) {
+  util::Rng rng(20260);
+  constexpr int kInputs = 100'000;
+  int partial_cap = 0;   // the cap binds in some stages but not all
+  int near_cap = 0;      // |phi| within 1e-6 relative of a stage's cap
+  int low_speed = 0;     // some stage at v <= 1
+  int crossing_one = 0;  // stages on both sides of v = 1
+  int scn_extremes = 0;  // vehicle parameters far from the defaults
+  int pos_zero = 0, neg_zero = 0, pos_inf = 0, neg_inf = 0, nan_phi = 0;
+  for (int i = 0; i < kInputs; ++i) {
+    VehicleParams params;
+    if (rng.bernoulli(0.3)) {
+      ++scn_extremes;
+      params.wheelbase = std::exp(rng.uniform(std::log(0.05), std::log(50.0)));
+      params.max_accel = rng.uniform(0.0, 30.0);
+      params.max_brake_decel = rng.uniform(0.0, 30.0);
+      params.max_steering = rng.uniform(0.0, 1.5);
+      params.max_speed = rng.uniform(0.0, 150.0);
+      params.steering_rate = rng.uniform(0.0, 20.0);
+      switch (rng.uniform_int(0, 3)) {
+        case 0: params.max_lateral_accel = 0.0; break;
+        case 1: params.max_lateral_accel =
+            std::exp(rng.uniform(std::log(1e-12), std::log(1e-3))); break;
+        case 2: params.max_lateral_accel =
+            std::exp(rng.uniform(std::log(1e3), std::log(1e12))); break;
+        default: params.max_lateral_accel = rng.uniform(0.0, 30.0);
+      }
+    }
+    const double dt = rng.bernoulli(0.8) ? 1.0 / 120.0 : rng.uniform(1e-4, 0.1);
+
+    VehicleState s;
+    s.x = rng.uniform(-100.0, 2000.0);
+    s.y = rng.uniform(-5.0, 12.0);
+    s.theta = rng.uniform(-3.2, 3.2);
+    s.a = rng.uniform(-10.0, 10.0);
+    s.v = rng.bernoulli(0.15) ? rng.uniform(0.8, 1.2)
+                              : rng.uniform(0.0, std::max(params.max_speed, 2.0));
+    Actuation act;
+    act.throttle = rng.uniform(-0.5, 1.5);
+    act.brake = rng.bernoulli(0.5) ? 0.0 : rng.uniform(-0.5, 1.5);
+
+    const int mode = rng.uniform_int(0, 9);
+    if (mode <= 4 && s.v > 1.0) {
+      // phi near the cap at the first stage's speed, held there by a
+      // matching command; the spread runs from 1e-12 to 1e-2 relative.
+      const double cap = std::atan(params.max_lateral_accel *
+                                   params.wheelbase / (s.v * s.v));
+      const double rel = std::exp(rng.uniform(std::log(1e-12), std::log(1e-2)));
+      s.phi = cap * (1.0 + (rng.bernoulli(0.5) ? rel : -rel));
+      if (rng.bernoulli(0.5)) s.phi = -s.phi;
+      act.steering = s.phi;
+      params.max_steering = std::max(params.max_steering, std::abs(s.phi));
+    } else if (mode == 5) {
+      // A frozen actuator (slew rate 0) keeps a special phi through the
+      // slew limit; -0.0 survives it only under a negative command.
+      params.steering_rate = 0.0;
+      const double special[] = {0.0, -0.0, HUGE_VAL, -HUGE_VAL,
+                                std::nan("")};
+      s.phi = special[rng.uniform_int(0, 4)];
+      act.steering = rng.uniform(-1.0, -0.01);
+    } else {
+      s.phi = rng.uniform(-1.5, 1.5);
+      act.steering = rng.uniform(-2.0, 2.0);
+    }
+
+    std::array<StageView, 4> stages;
+    const VehicleState want = reference_step(s, act, params, dt, &stages);
+    const VehicleState got = step(s, act, params, dt);
+    ASSERT_EQ(std::memcmp(&got, &want, sizeof(VehicleState)), 0)
+        << "input " << i << ": v " << s.v << " phi " << s.phi << " steering "
+        << act.steering << " dt " << dt;
+
+    const double phi = want.phi;
+    if (phi == 0.0) (std::signbit(phi) ? neg_zero : pos_zero) += 1;
+    if (std::isinf(phi)) (phi > 0.0 ? pos_inf : neg_inf) += 1;
+    if (std::isnan(phi)) ++nan_phi;
+    int capped = 0, slow = 0, near = 0;
+    for (const StageView& stage : stages) {
+      if (std::isnan(stage.limit)) {
+        ++slow;
+        continue;
+      }
+      if (phi < -stage.limit || phi > stage.limit) ++capped;
+      if (std::abs(std::abs(phi) - stage.limit) <= 1e-6 * stage.limit) ++near;
+    }
+    if (capped > 0 && capped < 4) ++partial_cap;
+    if (near > 0) ++near_cap;
+    if (slow > 0) ++low_speed;
+    if (slow > 0 && slow < 4) ++crossing_one;
+  }
+  RecordProperty("partial_cap", partial_cap);
+  RecordProperty("near_cap", near_cap);
+  RecordProperty("low_speed", low_speed);
+  RecordProperty("crossing_one", crossing_one);
+  RecordProperty("scn_extremes", scn_extremes);
+  RecordProperty("special_phi", pos_zero + neg_zero + pos_inf + neg_inf +
+                                    nan_phi);
+  EXPECT_GT(partial_cap, 1000);
+  EXPECT_GT(near_cap, 10'000);
+  EXPECT_GT(low_speed, 2'000);
+  EXPECT_GT(crossing_one, 1000);
+  EXPECT_GT(scn_extremes, 20'000);
+  for (int count : {pos_zero, neg_zero, pos_inf, neg_inf, nan_phi})
+    EXPECT_GT(count, 500);
 }
 
 // ---------- Stopping distance ----------

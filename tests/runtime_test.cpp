@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -21,7 +23,8 @@ struct TestMsg {
 TEST(Channel, PublishAndRead) {
   Channel<TestMsg> ch("test");
   EXPECT_FALSE(ch.has_message());
-  ch.publish({3.5, 1}, 0.1);
+  TestMsg msg{3.5, 1};
+  ch.publish(msg, 0.1);
   ASSERT_TRUE(ch.has_message());
   EXPECT_DOUBLE_EQ(ch.latest().value, 3.5);
   EXPECT_EQ(ch.sequence(), 1u);
@@ -30,8 +33,10 @@ TEST(Channel, PublishAndRead) {
 
 TEST(Channel, LatestValueSemantics) {
   Channel<TestMsg> ch("test");
-  ch.publish({1.0, 1}, 0.0);
-  ch.publish({2.0, 2}, 0.1);
+  TestMsg first{1.0, 1};
+  TestMsg second{2.0, 2};
+  ch.publish(first, 0.0);
+  ch.publish(second, 0.1);
   EXPECT_EQ(ch.latest().id, 2);
   EXPECT_EQ(ch.sequence(), 2u);
 }
@@ -39,25 +44,69 @@ TEST(Channel, LatestValueSemantics) {
 TEST(Channel, AgeTracksStaleness) {
   Channel<TestMsg> ch("test");
   EXPECT_GT(ch.age(0.0), 1e17);  // no message: infinitely stale
-  ch.publish({1.0, 1}, 1.0);
+  TestMsg msg{1.0, 1};
+  ch.publish(msg, 1.0);
   EXPECT_NEAR(ch.age(1.5), 0.5, 1e-12);
 }
 
 TEST(Channel, HookInterceptsPublication) {
   Channel<TestMsg> ch("test");
   ch.set_hook([](TestMsg& msg, double) { msg.value = -msg.value; });
-  ch.publish({5.0, 1}, 0.0);
+  TestMsg first{5.0, 1};
+  ch.publish(first, 0.0);
   EXPECT_DOUBLE_EQ(ch.latest().value, -5.0);
   ch.clear_hook();
-  ch.publish({5.0, 2}, 0.1);
+  TestMsg second{5.0, 2};
+  ch.publish(second, 0.1);
   EXPECT_DOUBLE_EQ(ch.latest().value, 5.0);
 }
 
 TEST(Channel, MutableLatestAllowsInPlaceCorruption) {
   Channel<TestMsg> ch("test");
-  ch.publish({1.0, 1}, 0.0);
+  TestMsg msg{1.0, 1};
+  ch.publish(msg, 0.0);
   ch.mutable_latest().value = 99.0;  // what the fault injector does
   EXPECT_DOUBLE_EQ(ch.latest().value, 99.0);
+}
+
+TEST(Channel, PublishSwapsInTheMessageAndHandsBackThePrevious) {
+  // A producer that refills one buffer each tick: publish swaps the buffer
+  // with the latest message, so the producer gets the previous message and
+  // its heap storage back instead of allocating a new list.
+  struct ListMsg {
+    int id = 0;
+    std::vector<int> items;
+  };
+  Channel<ListMsg> ch("list");
+  std::vector<double> hook_times;
+  ch.set_hook([&](ListMsg& msg, double now) {
+    hook_times.push_back(now);
+    msg.items.push_back(-1);  // the hook sees the new message
+  });
+
+  ListMsg buffer{1, {10, 11}};
+  ch.publish(buffer, 0.25);
+  EXPECT_EQ(ch.sequence(), 1u);
+  EXPECT_DOUBLE_EQ(ch.last_publish_time(), 0.25);
+  EXPECT_EQ(ch.latest().id, 1);
+  EXPECT_EQ(ch.latest().items, (std::vector<int>{10, 11, -1}));
+  // Before the first publish there is no previous message: a default one.
+  EXPECT_EQ(buffer.id, 0);
+  EXPECT_TRUE(buffer.items.empty());
+
+  const int* first_storage = ch.latest().items.data();
+  buffer.id = 2;
+  buffer.items.assign({20});
+  ch.publish(buffer, 0.5);
+  EXPECT_EQ(ch.sequence(), 2u);
+  EXPECT_DOUBLE_EQ(ch.last_publish_time(), 0.5);
+  EXPECT_EQ(ch.latest().id, 2);
+  EXPECT_EQ(ch.latest().items, (std::vector<int>{20, -1}));
+  // The previous message comes back whole, storage included.
+  EXPECT_EQ(buffer.id, 1);
+  EXPECT_EQ(buffer.items, (std::vector<int>{10, 11, -1}));
+  EXPECT_EQ(buffer.items.data(), first_storage);
+  EXPECT_EQ(hook_times, (std::vector<double>{0.25, 0.5}));
 }
 
 // ---------- FaultRegistry ----------
@@ -165,6 +214,80 @@ TEST(Scheduler, RejectsRatesThatDoNotDivideBase) {
   // scene recorder runs at 7.5 Hz on the 120 Hz base).
   EXPECT_NO_THROW(sched.add_module("scene", 7.5, [](double) {}));
   EXPECT_NO_THROW(sched.add_module("base", 120.0, [](double) {}));
+}
+
+TEST(Scheduler, RestoreAtUnalignedTicksFiresAsAnUninterruptedRun) {
+  // Each module keeps the next tick it is due at, derived from the tick
+  // counter. A restore to a tick that no period divides, with a module
+  // disabled across it and re-enabled later, must fire the same modules
+  // at the same ticks as a scheduler that was never interrupted.
+  struct Firing {
+    std::string module;
+    std::uint64_t tick;
+    bool operator==(const Firing&) const = default;
+  };
+  auto make = [](std::vector<Firing>& fired) {
+    auto sched = std::make_unique<Scheduler>(120.0);
+    for (const auto& [name, hz] :
+         std::vector<std::pair<std::string, double>>{
+             {"imu", 60.0}, {"gps", 10.0}, {"perception", 30.0},
+             {"scene", 7.5}, {"base", 120.0}}) {
+      Scheduler* s = sched.get();
+      sched->add_module(name, hz, [&fired, name = name, s](double) {
+        fired.push_back({name, s->tick()});
+      });
+    }
+    return sched;
+  };
+  // The schedule both runs follow: "perception" is down for ticks
+  // [37, 95) and the run is checkpointed at three unaligned ticks.
+  auto drive = [](Scheduler& sched, std::uint64_t until) {
+    while (sched.tick() < until) {
+      if (sched.tick() == 37) sched.set_enabled("perception", false);
+      if (sched.tick() == 95) sched.set_enabled("perception", true);
+      sched.step();
+    }
+  };
+
+  std::vector<Firing> reference;
+  const auto uninterrupted = make(reference);
+  drive(*uninterrupted, 200);
+
+  for (const std::uint64_t checkpoint : {13u, 53u, 101u}) {
+    // Run a source scheduler to the checkpoint and snapshot it; a fresh
+    // scheduler, first stepped off to a different unaligned tick, restores
+    // the snapshot and runs on.
+    std::vector<Firing> ignored;
+    const auto source = make(ignored);
+    drive(*source, checkpoint);
+    const Scheduler::Snapshot snap = source->snapshot();
+
+    std::vector<Firing> fired;
+    const auto resumed = make(fired);
+    drive(*resumed, 7);
+    resumed->restore(snap);
+    fired.clear();
+    drive(*resumed, 200);
+
+    std::vector<Firing> expected;
+    for (const Firing& f : reference)
+      if (f.tick >= checkpoint) expected.push_back(f);
+    ASSERT_EQ(fired.size(), expected.size()) << "checkpoint " << checkpoint;
+    for (std::size_t i = 0; i < fired.size(); ++i)
+      ASSERT_EQ(fired[i], expected[i])
+          << "checkpoint " << checkpoint << ", firing " << i << ": "
+          << fired[i].module << "@" << fired[i].tick << " vs "
+          << expected[i].module << "@" << expected[i].tick;
+  }
+  // The reference really had the outage and the re-enable in it.
+  auto perception_at = [&](std::uint64_t tick) {
+    return std::count(reference.begin(), reference.end(),
+                      Firing{"perception", tick}) == 1;
+  };
+  EXPECT_TRUE(perception_at(36));
+  EXPECT_FALSE(perception_at(40));
+  EXPECT_FALSE(perception_at(92));
+  EXPECT_TRUE(perception_at(96));
 }
 
 TEST(Scheduler, NowAdvancesByDt) {

@@ -193,15 +193,16 @@ TEST(Snapshot, SensorsAreDeterministicGivenRngState) {
 
   const ads::GpsMsg gps_a = ads::sense_gps(world, ads::GpsNoise{}, rng);
   const ads::ImuMsg imu_a = ads::sense_imu(world, ads::ImuNoise{}, rng);
-  const ads::DetectionMsg det_a =
-      ads::sense_objects(world, ads::ObjectSensorConfig{}, rng);
+  ads::DetectionMsg det_a;
+  ads::sense_objects(world, ads::ObjectSensorConfig{}, rng, det_a);
 
   util::Rng replay(0);
   replay.set_state(state);
   EXPECT_TRUE(bits_equal(gps_a, ads::sense_gps(world, ads::GpsNoise{}, replay)));
   EXPECT_TRUE(bits_equal(imu_a, ads::sense_imu(world, ads::ImuNoise{}, replay)));
-  EXPECT_TRUE(bits_equal(
-      det_a, ads::sense_objects(world, ads::ObjectSensorConfig{}, replay)));
+  ads::DetectionMsg det_b;
+  ads::sense_objects(world, ads::ObjectSensorConfig{}, replay, det_b);
+  EXPECT_TRUE(bits_equal(det_a, det_b));
 }
 
 // --- ads/ekf --------------------------------------------------------------
@@ -254,14 +255,15 @@ TEST(Snapshot, TrackerRestoreContinuesBitIdentically) {
     msg.detections.push_back(det);
     return msg;
   };
+  std::vector<ads::TrackedObject> confirmed;
   for (int i = 0; i < 6; ++i)
-    tracker.update(frame(0.1 * i, 40.0 + 2.8 * 0.1 * i), 0.1 * i);
+    tracker.update(frame(0.1 * i, 40.0 + 2.8 * 0.1 * i), 0.1 * i, confirmed);
 
   const auto snap = tracker.snapshot();
   auto drive = [&](ads::ObjectTracker& tr) {
     std::vector<ads::TrackedObject> out;
     for (int i = 6; i < 12; ++i)
-      out = tr.update(frame(0.1 * i, 40.0 + 2.8 * 0.1 * i), 0.1 * i);
+      tr.update(frame(0.1 * i, 40.0 + 2.8 * 0.1 * i), 0.1 * i, out);
     return out;
   };
   const auto uninterrupted = drive(tracker);
