@@ -36,6 +36,9 @@
 //                          the worker gives up (default 20)
 //     --reconnect-base-delay S    first backoff delay; doubles per failure
 //                          up to --reconnect-max-delay (defaults 0.1 / 2)
+//     --trace-out FILE     Chrome trace-event JSON of the worker's spans
+//                          (golden, trunk, replay, store.append), as `run`
+//                          writes; inert like `run`'s
 //     Joins a drivefi_campaignd fleet: the campaign options MUST match the
 //     daemon's (the manifest hash in the hello is checked), the worker
 //     pulls leases of run indices, executes them locally, and streams each
@@ -237,6 +240,7 @@ int cmd_run(int argc, char** argv) {
 int cmd_worker(int argc, char** argv) {
   campaign_cli::CampaignArgs args;
   coord::WorkerConfig config;
+  std::string trace_out;
   bool have_connect = false;
 
   for (int i = 0; i < argc; ++i) {
@@ -263,6 +267,7 @@ int cmd_worker(int argc, char** argv) {
       config.reconnect_base_delay = campaign_cli::parse_seconds(arg, next());
     else if (arg == "--reconnect-max-delay")
       config.reconnect_max_delay = campaign_cli::parse_seconds(arg, next());
+    else if (arg == "--trace-out") trace_out = next();
     else {
       std::fprintf(stderr, "error: unknown option %s\n", arg.c_str());
       return 2;
@@ -274,6 +279,8 @@ int cmd_worker(int argc, char** argv) {
   }
   config.threads = args.threads;
 
+  // As in `run`, the trace starts before golden precompute.
+  if (!trace_out.empty()) obs::start_tracing(trace_out);
   campaign_cli::Campaign campaign(args, false);
   coord::WorkerClient worker(campaign.experiment(), campaign.model(),
                              campaign.scenario_spec(), config);
@@ -282,6 +289,7 @@ int cmd_worker(int argc, char** argv) {
               worker.config().host.c_str(), worker.config().port);
   std::fflush(stdout);
   const coord::WorkerStats stats = worker.run();
+  if (!trace_out.empty()) obs::stop_tracing();
   std::fprintf(stderr, "%s\n",
                obs::telemetry_jsonl(stats.wall_seconds).c_str());
   std::printf("worker done: %zu runs executed, %zu leases completed, %zu "

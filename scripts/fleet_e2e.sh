@@ -19,7 +19,9 @@
 # nonzero fleet.reconnects, the resumed daemon's telemetry must show no
 # golden simulation (a random campaign's coordinator builds only the
 # manifest), and both telemetry files must validate as JSON (they are
-# copied into BUILD_DIR for CI artifact upload).
+# copied into BUILD_DIR for CI artifact upload). Surviving worker 2 runs
+# with --trace-out too; its trace must validate and hold its golden
+# precompute.
 #
 #   scripts/fleet_e2e.sh BUILD_DIR [RUNS]
 set -euo pipefail
@@ -79,10 +81,12 @@ echo "== 3 workers (reconnect-enabled) =="
 # The backoff window must comfortably cover the coordinator outage below:
 # 150 attempts capped at 2 s apiece is minutes of patience.
 for w in 1 2 3; do
+  TRACE_FLAGS=()
+  [ "$w" -eq 2 ] && TRACE_FLAGS=(--trace-out "$WORK/w2.trace.json")
   "$BUILD_DIR/drivefi_campaign" worker --connect "127.0.0.1:$PORT" \
     "${CAMPAIGN_FLAGS[@]}" --name "w$w" --store "$WORK/w$w.local.jsonl" \
     --reconnect-max-attempts 150 --reconnect-base-delay 0.1 \
-    > "$WORK/w$w.log" 2>&1 &
+    "${TRACE_FLAGS[@]}" > "$WORK/w$w.log" 2>&1 &
   WORKER_PIDS+=($!)
 done
 
@@ -189,6 +193,17 @@ for event in events:
     assert event["ph"] == "X" and event["cat"] == "drivefi", event
 print(f"trace OK: {len(events)} complete events")
 PYEOF
+python3 - "$WORK/w2.trace.json" <<'PYEOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    events = json.load(f)["traceEvents"]
+for event in events:
+    assert event["ph"] == "X" and event["cat"] == "drivefi", event
+names = {event["name"] for event in events}
+# Every worker precomputes its goldens before it connects.
+assert "golden" in names, f"worker trace has no golden span: {sorted(names)}"
+print(f"worker trace OK: {len(events)} complete events ({', '.join(sorted(names))})")
+PYEOF
 python3 - "$WORK/fleet.metrics.jsonl" "$RUNS" <<'PYEOF'
 import json, sys
 snapshots = [json.loads(line) for line in open(sys.argv[1])]
@@ -211,5 +226,6 @@ golden = json.loads(lines[-1]).get("experiment.golden_runs", 0)
 assert golden == 0, f"the coordinator ran {golden:g} golden simulations"
 print("coordinator telemetry OK: no golden simulation")
 PYEOF
-cp "$WORK/fleet.metrics.jsonl" "$WORK/fleet.trace.json" "$BUILD_DIR/"
+cp "$WORK/fleet.metrics.jsonl" "$WORK/fleet.trace.json" "$WORK/w2.trace.json" \
+  "$BUILD_DIR/"
 echo "PASS: telemetry artifacts validate; copied into $BUILD_DIR"

@@ -44,7 +44,6 @@ struct Detection {
 struct DetectionMsg {
   double t = 0.0;
   std::vector<Detection> detections;
-  double range_used = 0.0;  // effective sensing range for this frame
 
   bool operator==(const DetectionMsg&) const = default;
 };
@@ -132,9 +131,7 @@ inline bool bits_equal(const Detection& a, const Detection& b) {
 }
 
 inline bool bits_equal(const DetectionMsg& a, const DetectionMsg& b) {
-  if (!util::bits_equal(a.t, b.t) ||
-      !util::bits_equal(a.range_used, b.range_used) ||
-      a.detections.size() != b.detections.size())
+  if (!util::bits_equal(a.t, b.t) || a.detections.size() != b.detections.size())
     return false;
   for (std::size_t i = 0; i < a.detections.size(); ++i)
     if (!bits_equal(a.detections[i], b.detections[i])) return false;

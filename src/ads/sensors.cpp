@@ -33,7 +33,6 @@ ImuMsg sense_imu(const sim::World& world, const ImuNoise& noise,
 void sense_objects(const sim::World& world, const ObjectSensorConfig& config,
                    util::Rng& rng, DetectionMsg& msg) {
   msg.t = world.time();
-  msg.range_used = config.range;
   msg.detections.clear();
 
   const auto& ego = world.ego();

@@ -157,13 +157,30 @@ const CompiledQuery& CompiledNetwork::plan_for(
   key += "|q:";
   for (const auto& n : query) (key += n) += '\x1f';
 
-  std::lock_guard<std::mutex> lock(plans_mutex_);
-  const auto found = plans_.find(key);
-  if (found != plans_.end()) {
-    obs::metrics().counter("bn.plan_cache_hits").add();
-    return *found->second;
+  {
+    std::lock_guard<std::mutex> lock(plans_mutex_);
+    const auto found = plans_.find(key);
+    if (found != plans_.end()) {
+      obs::metrics().counter("bn.plan_cache_hits").add();
+      return *found->second;
+    }
   }
-  obs::metrics().counter("bn.plan_cache_misses").add();
+  // Two threads that miss on one structure both compile it. The first to
+  // insert counts the miss and the other a hit, dropping its equal copy, so
+  // the counters read the same at any thread count.
+  std::unique_ptr<CompiledQuery> plan = compile(interventions, evidence, query);
+  std::lock_guard<std::mutex> lock(plans_mutex_);
+  const auto [it, inserted] = plans_.emplace(std::move(key), std::move(plan));
+  obs::metrics()
+      .counter(inserted ? "bn.plan_cache_misses" : "bn.plan_cache_hits")
+      .add();
+  return *it->second;
+}
+
+std::unique_ptr<CompiledQuery> CompiledNetwork::compile(
+    const std::vector<std::string>& interventions,
+    const std::vector<std::string>& evidence,
+    const std::vector<std::string>& query) const {
   DFI_SPAN("bn.compile_plan");
 
   const std::vector<std::size_t> i_idx = resolve_ids(net_, interventions);
@@ -254,10 +271,7 @@ const CompiledQuery& CompiledNetwork::plan_for(
       post_cov(c, r) = v;
     }
   plan->post_cov_ = std::move(post_cov);
-
-  const auto [it, inserted] = plans_.emplace(key, std::move(plan));
-  (void)inserted;
-  return *it->second;
+  return plan;
 }
 
 }  // namespace drivefi::bn

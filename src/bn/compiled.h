@@ -20,8 +20,9 @@
 //
 // Results match the exact per-query path to rounding error (tolerance
 // 1e-9, enforced by tests). All methods of a built CompiledQuery are
-// const and lock-free; plan construction is internally synchronized, so
-// a CompiledNetwork may be shared across campaign worker threads.
+// const and lock-free. A plan is built outside the cache lock, so plans of
+// different structures compile concurrently, and a CompiledNetwork may be
+// shared across campaign worker threads.
 #pragma once
 
 #include <cstddef>
@@ -107,6 +108,11 @@ class CompiledNetwork {
   const CompiledQuery& plan_for(const std::vector<std::string>& interventions,
                                 const std::vector<std::string>& evidence,
                                 const std::vector<std::string>& query) const;
+  // Compiles a plan from the network and joint alone; takes no lock.
+  std::unique_ptr<CompiledQuery> compile(
+      const std::vector<std::string>& interventions,
+      const std::vector<std::string>& evidence,
+      const std::vector<std::string>& query) const;
 
   LinearGaussianNetwork net_;
   MultivariateGaussian joint_;

@@ -34,9 +34,21 @@ struct NodeSpec {
   std::vector<std::string> parents;
 };
 
-// Fits one CPD per spec, reading node/parent values from the dataset by
-// column name. The DAG is induced by the specs (parents must be declared
-// before children).
+// One node's fitted CPD: weights in the spec's parent order.
+struct FittedCpd {
+  std::vector<double> weights;
+  double bias = 0.0;
+  double variance = 0.0;
+};
+
+// Fits the CPD of one spec, reading node/parent values from the dataset by
+// column name; every sum runs over the rows in row order. Reads `data`
+// only, so the nodes of one dataset may be fitted concurrently.
+FittedCpd fit_node(const NodeSpec& spec, const Dataset& data,
+                   const FitOptions& options = {});
+
+// Fits one CPD per spec with fit_node and adds them in spec order. The DAG
+// is induced by the specs (parents must be declared before children).
 LinearGaussianNetwork fit_network(const std::vector<NodeSpec>& specs,
                                   const Dataset& data,
                                   const FitOptions& options = {});

@@ -70,18 +70,20 @@ std::vector<NodeId> Dag::topological_order() const {
 
 bool Dag::reaches(NodeId from, NodeId to) const {
   if (from == to) return true;
+  // Search `to`'s ancestors along the parent lists, which the DAG stores:
+  // one look at each edge, where a search of `from`'s descendants would
+  // scan every node for children at each step.
   std::vector<bool> visited(node_count(), false);
-  std::deque<NodeId> frontier{from};
-  visited[from] = true;
-  // Build child adjacency lazily; node counts are small.
-  while (!frontier.empty()) {
-    const NodeId cur = frontier.front();
-    frontier.pop_front();
-    for (NodeId c = 0; c < node_count(); ++c) {
-      if (visited[c] || !has_edge(cur, c)) continue;
-      if (c == to) return true;
-      visited[c] = true;
-      frontier.push_back(c);
+  std::vector<NodeId> pending{to};
+  visited[to] = true;
+  while (!pending.empty()) {
+    const NodeId cur = pending.back();
+    pending.pop_back();
+    for (NodeId p : parents_[cur]) {
+      if (p == from) return true;
+      if (visited[p]) continue;
+      visited[p] = true;
+      pending.push_back(p);
     }
   }
   return false;

@@ -90,46 +90,70 @@ const SafetyPredictorConfig& checked(const SafetyPredictorConfig& config) {
   return config;
 }
 
+using Rows = std::vector<std::vector<double>>;
+
+// One trace's rows of the unrolled dataset: a window of `slices`
+// consecutive lead-valid scenes from each start, windows never straddling
+// traces.
+Rows unrolled_rows(const GoldenTrace& trace, int slices) {
+  const auto width = static_cast<std::size_t>(slices);
+  std::vector<const ads::SceneRecord*> valid;
+  for (const auto& scene : trace.scenes)
+    if (scene.lead_gap >= 0.0) valid.push_back(&scene);
+  Rows rows;
+  for (std::size_t start = 0; start + width <= valid.size(); ++start) {
+    std::vector<double> row;
+    row.reserve(width * ads::kSceneVariableCount);
+    for (std::size_t s = 0; s < width; ++s) {
+      const auto values = ads::scene_variable_values(*valid[start + s]);
+      row.insert(row.end(), values.begin(), values.end());
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+// Runs on the calling thread (run_ordered on one thread starts no helper).
+const ParallelExecutor kCallingThread(ExecutorConfig{1});
+
 }  // namespace
 
 SafetyPredictor::SafetyPredictor(const std::vector<GoldenTrace>& traces,
-                                 const SafetyPredictorConfig& config)
+                                 const SafetyPredictorConfig& config,
+                                 const ParallelExecutor* executor)
     : config_(checked(config)) {
+  const ParallelExecutor& pool = executor ? *executor : kCallingThread;
   const DbnTemplate tmpl = ads_dbn_template();
-  // Build a sliding-window dataset directly from the per-trace scene logs
-  // (windows must not straddle trace boundaries).
+  // The rows of each trace in turn, concatenated in trace order.
   bn::Dataset unrolled;
   for (int s = 0; s < config.slices; ++s)
     for (const auto& var : tmpl.variables())
       unrolled.columns.push_back(DbnTemplate::slice_name(var, s));
+  pool.run_ordered<Rows>(
+      traces.size(),
+      [&](std::size_t i) { return unrolled_rows(traces[i], config.slices); },
+      [&](Rows&& rows) {
+        for (auto& row : rows) unrolled.add_row(std::move(row));
+      });
 
-  for (const auto& trace : traces) {
-    // Per-trace window extraction over lead-valid scenes.
-    std::vector<const ads::SceneRecord*> valid;
-    for (const auto& scene : trace.scenes)
-      if (scene.lead_gap >= 0.0) valid.push_back(&scene);
-    if (valid.size() < static_cast<std::size_t>(config.slices)) continue;
-    for (std::size_t start = 0;
-         start + static_cast<std::size_t>(config.slices) <= valid.size();
-         ++start) {
-      std::vector<double> row;
-      row.reserve(unrolled.columns.size());
-      for (int s = 0; s < config.slices; ++s) {
-        const auto values = ads::scene_variable_values(
-            *valid[start + static_cast<std::size_t>(s)]);
-        row.insert(row.end(), values.begin(), values.end());
-      }
-      unrolled.add_row(std::move(row));
-    }
-  }
-  net_ = bn::fit_network(tmpl.unrolled_specs(config.slices), unrolled);
-  init_compiled();
+  // One CPD per node, each fitted over the rows in row order, added in
+  // node order: what bn::fit_network computes.
+  const std::vector<bn::NodeSpec> specs = tmpl.unrolled_specs(config.slices);
+  pool.run_ordered<bn::FittedCpd>(
+      specs.size(),
+      [&](std::size_t i) { return bn::fit_node(specs[i], unrolled); },
+      [&](bn::FittedCpd&& cpd) {
+        const bn::NodeSpec& spec = specs[net_.node_count()];
+        net_.add_node(spec.name, spec.parents, cpd.weights, cpd.bias,
+                      cpd.variance);
+      });
+  init_compiled(pool);
 }
 
 SafetyPredictor::SafetyPredictor(bn::LinearGaussianNetwork net,
                                  const SafetyPredictorConfig& config)
     : net_(std::move(net)), config_(checked(config)) {
-  init_compiled();
+  init_compiled(kCallingThread);
 }
 
 std::size_t SafetyPredictor::variable_id(const std::string& variable) {
@@ -148,61 +172,72 @@ std::vector<std::string> SafetyPredictor::query_nodes() const {
           DbnTemplate::slice_name("steer", query_slice)};
 }
 
-void SafetyPredictor::init_compiled() {
+void SafetyPredictor::init_compiled(const ParallelExecutor& executor) {
   if (!config_.use_compiled) return;
   compiled_ = std::make_unique<bn::CompiledNetwork>(net_);
 
   const auto& names = ads::scene_variable_names();
-  const int slices = config_.slices;
   const std::vector<std::string> query = query_nodes();
 
   // Nominal plan: full golden evidence through slice S-2.
   std::vector<std::string> nominal_evidence;
-  for (int s = 0; s <= slices - 2; ++s)
+  for (int s = 0; s <= config_.slices - 2; ++s)
     for (const auto& n : names)
       nominal_evidence.push_back(DbnTemplate::slice_name(n, s));
   nominal_plan_ = &compiled_->prepare(nominal_evidence, query);
 
-  for (const std::string& var : names) {
-    VariablePlans vp;
+  // Each variable's plans compile as their own task. A plan depends only
+  // on the network and its structure, so any schedule compiles the same
+  // plans. The nominal plan is cached first, so an observational plan of
+  // the same structure is always a cache hit.
+  executor.run_ordered<VariablePlans>(
+      names.size(),
+      [&](std::size_t variable) { return compile_plans(variable, query); },
+      [&](VariablePlans&& plans) { plans_.push_back(std::move(plans)); });
+}
 
-    // Causal plan: do(var) in every hold slice; slice-0 evidence in full,
-    // slice-1 evidence only on nodes the intervention cannot reach (same
-    // reachability rule as the exact path -- anything downstream of the
-    // fault is inferred, not observed).
-    std::vector<std::string> causal_evidence;
-    for (const auto& n : names)
-      causal_evidence.push_back(DbnTemplate::slice_name(n, 0));
-    const bn::NodeId intervened_id = net_.id(DbnTemplate::slice_name(var, 1));
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      const std::string node = DbnTemplate::slice_name(names[i], 1);
-      const bn::NodeId nid = net_.id(node);
-      if (nid == intervened_id || net_.dag().reaches(intervened_id, nid))
-        continue;
-      causal_evidence.push_back(node);
-      vp.slice1_kept.push_back(i);
-    }
-    std::vector<std::string> interventions;
-    for (int s = 1; s <= slices - 2; ++s)
-      interventions.push_back(DbnTemplate::slice_name(var, s));
-    vp.causal = &compiled_->prepare_do(interventions, causal_evidence, query);
+SafetyPredictor::VariablePlans SafetyPredictor::compile_plans(
+    std::size_t variable, const std::vector<std::string>& query) const {
+  const auto& names = ads::scene_variable_names();
+  const std::string& var = names[variable];
+  const int slices = config_.slices;
+  VariablePlans vp;
 
-    // Observational plan: the corrupted value is CONDITIONED on alongside
-    // the full golden evidence of every hold slice.
-    std::vector<std::string> obs_evidence;
-    for (const auto& n : names)
-      obs_evidence.push_back(DbnTemplate::slice_name(n, 0));
-    for (int s = 1; s <= slices - 2; ++s) {
-      for (const auto& n : names) {
-        if (n == var) continue;
-        obs_evidence.push_back(DbnTemplate::slice_name(n, s));
-      }
-      obs_evidence.push_back(DbnTemplate::slice_name(var, s));
-    }
-    vp.observational = &compiled_->prepare(obs_evidence, query);
-
-    plans_.push_back(std::move(vp));
+  // Causal plan: do(var) in every hold slice; slice-0 evidence in full,
+  // slice-1 evidence only on nodes the intervention cannot reach (same
+  // reachability rule as the exact path -- anything downstream of the
+  // fault is inferred, not observed).
+  std::vector<std::string> causal_evidence;
+  for (const auto& n : names)
+    causal_evidence.push_back(DbnTemplate::slice_name(n, 0));
+  const bn::NodeId intervened_id = net_.id(DbnTemplate::slice_name(var, 1));
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const std::string node = DbnTemplate::slice_name(names[i], 1);
+    const bn::NodeId nid = net_.id(node);
+    if (nid == intervened_id || net_.dag().reaches(intervened_id, nid))
+      continue;
+    causal_evidence.push_back(node);
+    vp.slice1_kept.push_back(i);
   }
+  std::vector<std::string> interventions;
+  for (int s = 1; s <= slices - 2; ++s)
+    interventions.push_back(DbnTemplate::slice_name(var, s));
+  vp.causal = &compiled_->prepare_do(interventions, causal_evidence, query);
+
+  // Observational plan: the corrupted value is CONDITIONED on alongside
+  // the full golden evidence of every hold slice.
+  std::vector<std::string> obs_evidence;
+  for (const auto& n : names)
+    obs_evidence.push_back(DbnTemplate::slice_name(n, 0));
+  for (int s = 1; s <= slices - 2; ++s) {
+    for (const auto& n : names) {
+      if (n == var) continue;
+      obs_evidence.push_back(DbnTemplate::slice_name(n, s));
+    }
+    obs_evidence.push_back(DbnTemplate::slice_name(var, s));
+  }
+  vp.observational = &compiled_->prepare(obs_evidence, query);
+  return vp;
 }
 
 SafetyPredictor::QueryMeans SafetyPredictor::infer_compiled(

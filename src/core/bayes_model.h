@@ -17,6 +17,12 @@
 /// per-query path (the two agree to < 1e-9 on every prediction; enforced
 /// by tests). Predict methods are const, lock-free, write nothing shared,
 /// and are safe to call concurrently from campaign worker threads.
+///
+/// Given an executor, the fitting constructor builds the dataset, fits the
+/// CPDs and compiles the plans on its threads, with the same arithmetic in
+/// the same order as on one thread, so the fitted network and every plan
+/// are bit-identical at any thread count. Without one, it runs on the
+/// calling thread.
 #pragma once
 
 #include <array>
@@ -28,6 +34,7 @@
 #include "ads/pipeline.h"
 #include "bn/compiled.h"
 #include "bn/dbn.h"
+#include "core/executor.h"
 #include "core/trace.h"
 #include "kinematics/bicycle.h"
 
@@ -80,10 +87,12 @@ enum class PredictSkip {
 
 class SafetyPredictor {
  public:
-  /// Fits the k-TBN on golden traces. Both constructors throw
+  /// Fits the k-TBN on golden traces, on `executor`'s threads when one is
+  /// given (see the file comment). Both constructors throw
   /// std::invalid_argument when config.slices is outside [3, kMaxSlices].
   SafetyPredictor(const std::vector<GoldenTrace>& traces,
-                  const SafetyPredictorConfig& config = {});
+                  const SafetyPredictorConfig& config = {},
+                  const ParallelExecutor* executor = nullptr);
   /// Uses a pre-fitted network (ablation / reuse-without-refit entry point).
   SafetyPredictor(bn::LinearGaussianNetwork net,
                   const SafetyPredictorConfig& config);
@@ -150,7 +159,10 @@ class SafetyPredictor {
   /// M-hat: true_v, true_y_off, true_theta and steer at the query slice.
   using QueryMeans = std::array<double, 4>;
 
-  void init_compiled();
+  void init_compiled(const ParallelExecutor& executor);
+  /// Compiles one variable's causal and observational plans.
+  VariablePlans compile_plans(std::size_t variable,
+                              const std::vector<std::string>& query) const;
   std::vector<std::string> query_nodes() const;
 
   /// `variable` is a variable_id(); nominal predictions (no value) ignore

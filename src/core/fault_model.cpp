@@ -110,9 +110,11 @@ std::string SelectedFaultModel::params() const {
 }
 
 BayesianFaultModel::BayesianFaultModel(const Experiment& experiment,
-                                       BayesianCampaignConfig config)
-    : predictor_(std::make_shared<const SafetyPredictor>(experiment.goldens(),
-                                                         config.predictor)) {
+                                       BayesianCampaignConfig config) {
+  // The fit runs on the selection's threads.
+  const ParallelExecutor executor(config.selection.executor);
+  predictor_ = std::make_shared<const SafetyPredictor>(
+      experiment.goldens(), config.predictor, &executor);
   select(experiment, config);
 }
 

@@ -147,7 +147,8 @@ struct BayesianCampaignConfig {
 /// sinks as a `selection` record via describe().
 class BayesianFaultModel : public FaultModel {
  public:
-  /// Fits the predictor on the experiment's goldens, then selects.
+  /// Fits the predictor on the experiment's goldens, on the selection's
+  /// executor, then selects.
   explicit BayesianFaultModel(const Experiment& experiment,
                               BayesianCampaignConfig config = {});
   /// Reuses a pre-fitted predictor (e.g. core::load_predictor) -- no refit.

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <optional>
+#include <span>
 
 namespace drivefi::core {
 
@@ -34,6 +35,69 @@ double fault_value_to_bn_value(const std::string& target, double value,
     return value - kEgoLaneCenter;
   }
   return value;
+}
+
+std::vector<SelectedFault> order_by_criticality(
+    std::vector<std::vector<SelectedFault>>& parts,
+    const ParallelExecutor& executor) {
+  struct Key {
+    double delta;
+    std::size_t rank;
+    SelectedFault* fault;
+  };
+  const auto before = [](const Key& a, const Key& b) {
+    return a.delta < b.delta || (a.delta == b.delta && a.rank < b.rank);
+  };
+
+  // offsets[p] is the rank of part p's first fault.
+  std::vector<std::size_t> offsets(1, 0);
+  offsets.reserve(parts.size() + 1);
+  for (const auto& part : parts)
+    offsets.push_back(offsets.back() + part.size());
+  const std::size_t total = offsets.back();
+  std::vector<Key> keys(total);
+  const std::size_t slices = std::clamp<std::size_t>(
+      executor.threads(), 1, std::max<std::size_t>(total, 1));
+
+  // Slice s keys and sorts the ranks [total s / slices, total (s+1) / slices).
+  std::vector<std::span<Key>> sorted;
+  sorted.reserve(slices);
+  executor.run_ordered<std::span<Key>>(
+      slices,
+      [&](std::size_t s) {
+        const std::size_t lo = total * s / slices;
+        const std::size_t hi = total * (s + 1) / slices;
+        // The last part starting at or before lo holds it (empty parts
+        // share their successor's offset).
+        std::size_t p = static_cast<std::size_t>(
+            std::upper_bound(offsets.begin(), offsets.end(), lo) -
+            offsets.begin() - 1);
+        for (std::size_t rank = lo; rank < hi; ++rank) {
+          while (rank == offsets[p + 1]) ++p;
+          SelectedFault& fault = parts[p][rank - offsets[p]];
+          keys[rank] = {std::min(fault.prediction.delta_lon,
+                                 fault.prediction.delta_lat),
+                        rank, &fault};
+        }
+        const std::span<Key> slice(keys.data() + lo, hi - lo);
+        std::sort(slice.begin(), slice.end(), before);
+        return slice;
+      },
+      [&](std::span<Key>&& slice) { sorted.push_back(slice); });
+
+  // Merge the slices' heads, moving each fault into place as it is taken.
+  std::vector<SelectedFault> ordered;
+  ordered.reserve(total);
+  for (std::size_t n = 0; n < total; ++n) {
+    std::span<Key>* next = nullptr;
+    for (std::span<Key>& slice : sorted)
+      if (!slice.empty() &&
+          (next == nullptr || before(slice.front(), next->front())))
+        next = &slice;
+    ordered.push_back(std::move(*next->front().fault));
+    *next = next->subspan(1);
+  }
+  return ordered;
 }
 
 BayesianFaultSelector::BayesianFaultSelector(
@@ -181,15 +245,8 @@ SelectionResult BayesianFaultSelector::select_critical_faults(
     return out;
   };
 
-  // Chunks arrive in catalog order, so a fault's rank among the critical
-  // ones is its catalog order. Each chunk's list keeps its buffer, which
-  // the keys point into, until the sort below moves the faults out.
-  struct Key {
-    double delta;
-    std::size_t rank;
-    SelectedFault* fault;
-  };
-  std::vector<Key> keys;
+  // Chunks arrive in catalog order, so each chunk's critical list keeps
+  // the faults' catalog order.
   std::vector<std::vector<SelectedFault>> parts;
   const ParallelExecutor executor(options.executor);
   executor.run_ordered<ChunkResult>(
@@ -200,22 +257,11 @@ SelectionResult BayesianFaultSelector::select_critical_faults(
         result.skipped_no_window += partial.no_window;
         result.skipped_no_lead += partial.no_lead;
         result.skipped_golden_unsafe += partial.golden_unsafe;
-        for (SelectedFault& selected : partial.critical)
-          keys.push_back({std::min(selected.prediction.delta_lon,
-                                   selected.prediction.delta_lat),
-                          keys.size(), &selected});
         parts.push_back(std::move(partial.critical));
       });
-
-  // Most negative predicted delta first (most critical), ties in catalog
-  // order: with distinct ranks and no NaN delta (the golden envelope and
-  // P's distances are finite) this is the order a stable sort by delta
-  // gives, and each fault moves once.
-  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
-    return a.delta < b.delta || (a.delta == b.delta && a.rank < b.rank);
-  });
-  result.critical.reserve(keys.size());
-  for (const Key& key : keys) result.critical.push_back(std::move(*key.fault));
+  // With no NaN delta (the golden envelope and P's distances are finite)
+  // this is the order a stable sort by delta gives.
+  result.critical = order_by_criticality(parts, executor);
 
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

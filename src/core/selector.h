@@ -73,6 +73,16 @@ std::map<std::string, std::string> default_target_to_bn_variable();
 double fault_value_to_bn_value(const std::string& target, double value,
                                const std::string& bn_variable);
 
+/// F_crit's order: most negative min(delta_lon, delta_lat) first, ties in
+/// catalog rank, which is a fault's position in `parts` read part by part.
+/// Moves every fault out of `parts` once. One slice of the keys per
+/// executor thread is sorted as its own task and the slices are merged;
+/// the order is total (distinct ranks, no NaN delta, -0.0 ties +0.0), so
+/// the result is the same at any thread count.
+std::vector<SelectedFault> order_by_criticality(
+    std::vector<std::vector<SelectedFault>>& parts,
+    const ParallelExecutor& executor);
+
 class BayesianFaultSelector {
  public:
   BayesianFaultSelector(

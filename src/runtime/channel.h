@@ -1,13 +1,12 @@
 // Typed single-writer pub/sub channel, modeled on the latest-value
 // semantics of Apollo's Cyber RT: consumers read the most recent message;
-// there is no queueing (an ADS always acts on the freshest state).
-// Channels are also the fault-injection surface — a post-publish hook can
-// corrupt the message in place, exactly where the paper's injector
+// there is no queueing (an ADS always acts on the freshest state). Value
+// faults corrupt the latest message in place through the FaultRegistry's
+// setters, which reach it with mutable_latest(): the paper's injector
 // corrupts "the variables that store ADS outputs" (§II-C).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
@@ -46,9 +45,7 @@ class Channel {
   // before the first publish). A producer that refills the same buffer
   // each tick thereby reuses the channel's heap storage instead of
   // allocating; for a trivially copyable T the swap costs what a move does.
-  // The hook sees the new message before it is published.
   void publish(T& message, double now) {
-    if (hook_) hook_(message, now);
     if (!latest_) latest_.emplace();
     std::swap(*latest_, message);
     ++sequence_;
@@ -67,16 +64,11 @@ class Channel {
     return has_message() ? now - last_publish_time_ : 1e18;
   }
 
-  using Hook = std::function<void(T&, double)>;
-  void set_hook(Hook hook) { hook_ = std::move(hook); }
-  void clear_hook() { hook_ = nullptr; }
-
  private:
   std::string name_;
   std::optional<T> latest_;
   std::uint64_t sequence_ = 0;
   double last_publish_time_ = -1.0;
-  Hook hook_;
 };
 
 }  // namespace drivefi::runtime

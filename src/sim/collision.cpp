@@ -39,8 +39,26 @@ bool obb_overlap(const Obb& a, const Obb& b) {
   return true;
 }
 
-double center_distance(const Obb& a, const Obb& b) {
-  return std::hypot(b.cx - a.cx, b.cy - a.cy);
+bool obb_may_overlap(const Obb& a, const Obb& b) {
+  // Each box lies inside its circumcircle, so boxes whose circles are
+  // disjoint are separated by at least the circles' gap, and one of the
+  // four SAT axes shows at least 1/sqrt(2) of it (the axis nearest the
+  // direction between the closest points). The margins keep that gap far
+  // above the SAT's rounding. A NaN or infinity can make the SAT report an
+  // overlap, so any non-finite input goes to it.
+  const double dx = b.cx - a.cx;
+  const double dy = b.cy - a.cy;
+  if (!std::isfinite(dx) || !std::isfinite(dy) || !std::isfinite(a.heading) ||
+      !std::isfinite(b.heading))
+    return true;
+  const double reach =
+      (1.0 + 1e-3) *
+          (std::sqrt(a.half_length * a.half_length +
+                     a.half_width * a.half_width) +
+           std::sqrt(b.half_length * b.half_length +
+                     b.half_width * b.half_width)) +
+      1e-6;
+  return !(dx * dx + dy * dy > reach * reach);
 }
 
 }  // namespace drivefi::sim

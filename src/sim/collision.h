@@ -1,6 +1,6 @@
 // Oriented-bounding-box collision test (separating axis theorem) for
-// vehicle bodies. Exact for the rectangles we model; no broad-phase is
-// needed at this scene scale.
+// vehicle bodies, exact for the rectangles we model, and a broad phase
+// that rules out far-apart pairs without the SAT's trigonometry.
 #pragma once
 
 namespace drivefi::sim {
@@ -15,8 +15,9 @@ struct Obb {
 
 bool obb_overlap(const Obb& a, const Obb& b);
 
-// Shortest center distance at which these two boxes could touch along the
-// line connecting their centers (coarse bound used for near-miss stats).
-double center_distance(const Obb& a, const Obb& b);
+// Broad phase for obb_overlap: false only when obb_overlap is false too,
+// because every input is finite and the centers lie farther apart than
+// (1 + 1e-3) times the sum of the boxes' circumradii plus 1e-6 m.
+bool obb_may_overlap(const Obb& a, const Obb& b);
 
 }  // namespace drivefi::sim

@@ -181,7 +181,8 @@ void World::evaluate_status() {
                     config_.ego_params.length / 2.0,
                     config_.ego_params.width / 2.0};
   for (std::size_t i = 0; i < vehicles_.size(); ++i) {
-    if (obb_overlap(ego_box, vehicles_[i].obb())) {
+    const Obb box = vehicles_[i].obb();
+    if (obb_may_overlap(ego_box, box) && obb_overlap(ego_box, box)) {
       status_.collided = true;
       status_.collided_with = i;
       return;

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <memory>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "bn/compiled.h"
 #include "bn/dbn.h"
@@ -11,6 +15,7 @@
 #include "bn/network.h"
 #include "bn/sampling.h"
 #include "bn/serialize.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -616,6 +621,62 @@ TEST(Compiled, PlansAreCachedPerStructure) {
   EXPECT_EQ(compiled.plan_count(), 1u);
   compiled.prepare_do({"y"}, {"x"}, {"z"});
   EXPECT_EQ(compiled.plan_count(), 2u);
+}
+
+TEST(Compiled, ConcurrentRequestsForOneStructureShareOnePlan) {
+  // A plan compiles outside the cache lock. Threads that ask for one
+  // structure at once all get the plan that was inserted, and the cache
+  // counts one miss and a hit for every other request, however the
+  // requests interleave. The chain is long enough that a plan takes a
+  // while to compile: conditioning on every other node factors a 60 x 60
+  // block.
+  const auto node_name = [](std::size_t i) {
+    std::string name("n");
+    name += std::to_string(i);
+    return name;
+  };
+  LinearGaussianNetwork net;
+  net.add_node(node_name(0), {}, {}, 0.0, 1.0);
+  for (std::size_t i = 1; i < 121; ++i)
+    net.add_node(node_name(i), {node_name(i - 1)}, {0.9}, 0.1, 0.5);
+  std::vector<std::string> evidence;
+  for (std::size_t i = 0; i < 120; i += 2) evidence.push_back(node_name(i));
+  const std::vector<std::string> interventions = {node_name(61)};
+  const std::vector<std::string> query = {node_name(120)};
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRounds = 20;
+  std::vector<std::unique_ptr<CompiledNetwork>> networks;
+  for (std::size_t round = 0; round < kRounds; ++round)
+    networks.push_back(std::make_unique<CompiledNetwork>(net));
+  std::vector<std::vector<const CompiledQuery*>> plans(
+      kRounds, std::vector<const CompiledQuery*>(kThreads));
+  obs::Counter& misses = obs::metrics().counter("bn.plan_cache_misses");
+  obs::Counter& hits = obs::metrics().counter("bn.plan_cache_hits");
+  const std::uint64_t misses_before = misses.value();
+  const std::uint64_t hits_before = hits.value();
+  {
+    // A barrier before each round lines the threads' requests up.
+    std::atomic<std::size_t> arrived{0};
+    std::vector<std::jthread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        for (std::size_t round = 0; round < kRounds; ++round) {
+          arrived.fetch_add(1);
+          while (arrived.load() < (round + 1) * kThreads)
+            std::this_thread::yield();
+          plans[round][t] =
+              &networks[round]->prepare_do(interventions, evidence, query);
+        }
+      });
+  }
+  EXPECT_EQ(misses.value() - misses_before, kRounds);
+  EXPECT_EQ(hits.value() - hits_before, kRounds * (kThreads - 1));
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    EXPECT_EQ(networks[round]->plan_count(), 1u);
+    for (const CompiledQuery* plan : plans[round])
+      EXPECT_EQ(plan, plans[round][0]);
+  }
 }
 
 TEST(Compiled, RejectsOverlappingStructure) {

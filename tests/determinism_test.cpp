@@ -34,6 +34,7 @@
 #include "core/trace.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "util/matrix.h"
 #include "util/rng.h"
 
 namespace drivefi::core {
@@ -282,6 +283,242 @@ TEST(Determinism, BayesianSelectionMatchesTheMaterializedOracle) {
             selection_fingerprint(selector.select_critical_faults(
                 build_catalog(ragged, targets, 7.5), experiment.goldens(),
                 options)));
+}
+
+// The Bayesian setup as it ran on one thread before it moved onto the
+// executor: the unrolled dataset built trace by trace, then bn::fit_network
+// node after node, each node's sums over the rows in row order.
+bn::LinearGaussianNetwork serial_reference_fit(
+    const std::vector<GoldenTrace>& traces, int slices) {
+  const bn::DbnTemplate tmpl = ads_dbn_template();
+  const auto width = static_cast<std::size_t>(slices);
+  bn::Dataset data;
+  for (int s = 0; s < slices; ++s)
+    for (const auto& var : tmpl.variables())
+      data.columns.push_back(bn::DbnTemplate::slice_name(var, s));
+  for (const auto& trace : traces) {
+    std::vector<const ads::SceneRecord*> valid;
+    for (const auto& scene : trace.scenes)
+      if (scene.lead_gap >= 0.0) valid.push_back(&scene);
+    for (std::size_t start = 0; start + width <= valid.size(); ++start) {
+      std::vector<double> row;
+      for (std::size_t s = 0; s < width; ++s) {
+        const auto values = ads::scene_variable_values(*valid[start + s]);
+        row.insert(row.end(), values.begin(), values.end());
+      }
+      data.rows.push_back(std::move(row));
+    }
+  }
+
+  const bn::FitOptions options;
+  const auto n_rows = static_cast<double>(data.rows.size());
+  bn::LinearGaussianNetwork net;
+  for (const bn::NodeSpec& spec : tmpl.unrolled_specs(slices)) {
+    const std::size_t y_col = data.column_index(spec.name);
+    const std::size_t p = spec.parents.size();
+    if (p == 0) {
+      double mean = 0.0;
+      for (const auto& row : data.rows) mean += row[y_col];
+      mean /= n_rows;
+      double var = 0.0;
+      for (const auto& row : data.rows) {
+        const double d = row[y_col] - mean;
+        var += d * d;
+      }
+      net.add_node(spec.name, {}, {}, mean,
+                   std::max(var / n_rows, options.min_variance));
+      continue;
+    }
+    std::vector<std::size_t> x_cols(p);
+    for (std::size_t j = 0; j < p; ++j)
+      x_cols[j] = data.column_index(spec.parents[j]);
+    const std::size_t d = p + 1;
+    util::Matrix xtx(d, d);
+    util::Vector xty(d);
+    std::vector<double> x(d, 1.0);
+    for (const auto& row : data.rows) {
+      for (std::size_t j = 0; j < p; ++j) x[j] = row[x_cols[j]];
+      const double y = row[y_col];
+      for (std::size_t a = 0; a < d; ++a) {
+        xty[a] += x[a] * y;
+        for (std::size_t b = 0; b < d; ++b) xtx(a, b) += x[a] * x[b];
+      }
+    }
+    for (std::size_t a = 0; a < d; ++a)
+      xtx(a, a) += options.ridge * std::max(1.0, xtx(a, a));
+    const util::Vector beta = util::Cholesky(xtx).solve(xty);
+    double sse = 0.0;
+    for (const auto& row : data.rows) {
+      double pred = beta[p];
+      for (std::size_t j = 0; j < p; ++j) pred += beta[j] * row[x_cols[j]];
+      const double r = row[y_col] - pred;
+      sse += r * r;
+    }
+    net.add_node(spec.name, spec.parents,
+                 std::vector<double>(beta.data(), beta.data() + p), beta[p],
+                 std::max(sse / n_rows, options.min_variance));
+  }
+  return net;
+}
+
+// Every CPD with exact bit patterns.
+std::string network_fingerprint(const bn::LinearGaussianNetwork& net) {
+  std::ostringstream out;
+  out << std::hexfloat;
+  for (bn::NodeId i = 0; i < net.node_count(); ++i) {
+    const auto& cpd = net.cpd(i);
+    out << net.name(i) << " <-";
+    for (std::size_t j = 0; j < cpd.parents.size(); ++j)
+      out << " " << net.name(cpd.parents[j]) << "*" << cpd.weights[j];
+    out << " + " << cpd.bias << " ~ " << cpd.variance << "\n";
+  }
+  return out.str();
+}
+
+// Causal, observational and nominal predictions at fixed scenes, values and
+// variables, with exact bit patterns: every one reads a compiled plan's
+// query means.
+std::string prediction_fingerprint(const SafetyPredictor& predictor,
+                                   const std::vector<GoldenTrace>& traces,
+                                   std::size_t* made = nullptr) {
+  std::ostringstream out;
+  out << std::hexfloat;
+  std::size_t count = 0;
+  const auto print = [&](const std::optional<DeltaPrediction>& p) {
+    if (!p) {
+      out << "none\n";
+      return;
+    }
+    ++count;
+    out << p->delta_lon << " " << p->delta_lat << " " << p->predicted_v << " "
+        << p->predicted_y << " " << p->predicted_theta << "\n";
+  };
+  const auto& names = ads::scene_variable_names();
+  for (const GoldenTrace& trace : traces)
+    for (std::size_t scene = 1; scene < trace.scenes.size(); scene += 7) {
+      print(predictor.predict_nominal(trace, scene));
+      for (std::size_t v = 0; v < names.size(); ++v)
+        for (const double value : {-3.5, 12.25}) {
+          print(predictor.predict(trace, scene, v, value));
+          print(predictor.predict_observational(trace, scene, names[v], value));
+        }
+    }
+  if (made) *made = count;
+  return out.str();
+}
+
+TEST(Determinism, PredictorSetupOnTheExecutorMatchesTheSerialFit) {
+  // The fitting constructor builds the dataset, fits the CPDs and compiles
+  // the plans on the executor's threads. Every weight, bias and variance
+  // must equal the serial node-major fit bit for bit, every plan must give
+  // the same query means as plans compiled on one thread, and the plan
+  // cache must count the 27 plans as 26 structures and one repeat, at any
+  // thread count.
+  const auto all = sim::base_suite();
+  const std::vector<sim::Scenario> suite(all.begin(), all.begin() + 3);
+  const Experiment experiment(suite, test_pipeline_config());
+  const std::vector<GoldenTrace>& goldens = experiment.goldens();
+  const SafetyPredictorConfig config;
+
+  const bn::LinearGaussianNetwork reference =
+      serial_reference_fit(goldens, config.slices);
+  const std::string reference_network = network_fingerprint(reference);
+  std::size_t made = 0;
+  const std::string reference_predictions = prediction_fingerprint(
+      SafetyPredictor(reference, config), goldens, &made);
+  EXPECT_GT(made, 1000u);
+
+  obs::Counter& misses = obs::metrics().counter("bn.plan_cache_misses");
+  obs::Counter& hits = obs::metrics().counter("bn.plan_cache_hits");
+  for (const unsigned threads : {0u, 1u, 2u, 4u}) {
+    SCOPED_TRACE(threads == 0 ? std::string("no executor")
+                              : std::to_string(threads) + " threads");
+    const ParallelExecutor executor({threads});
+    const std::uint64_t misses_before = misses.value();
+    const std::uint64_t hits_before = hits.value();
+    const SafetyPredictor predictor(goldens, config,
+                                    threads == 0 ? nullptr : &executor);
+    EXPECT_EQ(misses.value() - misses_before, 26u);
+    EXPECT_EQ(hits.value() - hits_before, 1u);
+    EXPECT_EQ(reference_network, network_fingerprint(predictor.network()));
+    EXPECT_EQ(reference_predictions,
+              prediction_fingerprint(predictor, goldens));
+  }
+}
+
+TEST(Determinism, CriticalityOrderTiesByCatalogRankAtEverySliceCount) {
+  // F_crit's order is ascending min(delta_lon, delta_lat), ties in catalog
+  // rank: the order a stable sort gives. Many faults share a delta, -0.0
+  // and +0.0 among them, which compare equal, and empty parts sit between
+  // full ones. Every slice count (one per executor thread, more threads
+  // than faults included) must give that order and hand back each fault
+  // whole.
+  const auto name = [](std::size_t rank) {
+    return "a.target.name.too.long.for.inline.storage." + std::to_string(rank);
+  };
+  util::Rng rng(404);
+  const double deltas[] = {-3.0, -1.5, -0.0, 0.0, -1e-300, 1e-300, -1.5};
+  std::vector<std::vector<SelectedFault>> layout;
+  std::size_t count = 0;
+  for (int p = 0; p < 60; ++p) {
+    std::vector<SelectedFault> part(rng.uniform_index(12));
+    for (SelectedFault& fault : part) {
+      fault.fault.scene_index = count;
+      fault.fault.target = name(count++);
+      const double delta = deltas[rng.uniform_index(std::size(deltas))];
+      // The minimum falls on either side; the other side ties it or not.
+      const double other = rng.bernoulli(0.3) ? delta : delta + 2.0;
+      const bool lon = rng.bernoulli(0.5);
+      fault.prediction.delta_lon = lon ? delta : other;
+      fault.prediction.delta_lat = lon ? other : delta;
+    }
+    layout.push_back(std::move(part));
+  }
+  ASSERT_GT(count, 200u);
+
+  const auto oracle = [](std::vector<std::vector<SelectedFault>> parts) {
+    std::vector<SelectedFault> flat;
+    for (auto& part : parts)
+      for (auto& fault : part) flat.push_back(std::move(fault));
+    std::stable_sort(flat.begin(), flat.end(),
+                     [](const SelectedFault& a, const SelectedFault& b) {
+                       return std::min(a.prediction.delta_lon,
+                                       a.prediction.delta_lat) <
+                              std::min(b.prediction.delta_lon,
+                                       b.prediction.delta_lat);
+                     });
+    std::vector<std::size_t> ranks;
+    for (const SelectedFault& fault : flat)
+      ranks.push_back(fault.fault.scene_index);
+    return ranks;
+  };
+
+  // Fewer faults than slices: +0.0 at rank 0 ties -0.0 at rank 1.
+  std::vector<std::vector<SelectedFault>> few(3);
+  for (std::size_t rank = 0; rank < 2; ++rank) {
+    SelectedFault fault;
+    fault.fault.scene_index = rank;
+    fault.fault.target = name(rank);
+    fault.prediction.delta_lon = rank == 0 ? 0.0 : -0.0;
+    fault.prediction.delta_lat = 1.0;
+    few[2 * rank].push_back(fault);
+  }
+  for (const auto& parts : {layout, few, {}}) {
+    const std::vector<std::size_t> expected = oracle(parts);
+    for (const unsigned threads : {1u, 2u, 3u, 4u, 7u}) {
+      SCOPED_TRACE(std::to_string(threads) + " slices, " +
+                   std::to_string(expected.size()) + " faults");
+      std::vector<std::vector<SelectedFault>> moved = parts;
+      const std::vector<SelectedFault> ordered =
+          order_by_criticality(moved, ParallelExecutor({threads}));
+      std::vector<std::size_t> ranks;
+      for (const SelectedFault& fault : ordered) {
+        ranks.push_back(fault.fault.scene_index);
+        EXPECT_EQ(fault.fault.target, name(fault.fault.scene_index));
+      }
+      EXPECT_EQ(expected, ranks);
+    }
+  }
 }
 
 TEST(Determinism, EveryEngineSettingMatchesTheFullReplayOracle) {

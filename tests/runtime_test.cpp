@@ -49,18 +49,6 @@ TEST(Channel, AgeTracksStaleness) {
   EXPECT_NEAR(ch.age(1.5), 0.5, 1e-12);
 }
 
-TEST(Channel, HookInterceptsPublication) {
-  Channel<TestMsg> ch("test");
-  ch.set_hook([](TestMsg& msg, double) { msg.value = -msg.value; });
-  TestMsg first{5.0, 1};
-  ch.publish(first, 0.0);
-  EXPECT_DOUBLE_EQ(ch.latest().value, -5.0);
-  ch.clear_hook();
-  TestMsg second{5.0, 2};
-  ch.publish(second, 0.1);
-  EXPECT_DOUBLE_EQ(ch.latest().value, 5.0);
-}
-
 TEST(Channel, MutableLatestAllowsInPlaceCorruption) {
   Channel<TestMsg> ch("test");
   TestMsg msg{1.0, 1};
@@ -78,18 +66,13 @@ TEST(Channel, PublishSwapsInTheMessageAndHandsBackThePrevious) {
     std::vector<int> items;
   };
   Channel<ListMsg> ch("list");
-  std::vector<double> hook_times;
-  ch.set_hook([&](ListMsg& msg, double now) {
-    hook_times.push_back(now);
-    msg.items.push_back(-1);  // the hook sees the new message
-  });
 
   ListMsg buffer{1, {10, 11}};
   ch.publish(buffer, 0.25);
   EXPECT_EQ(ch.sequence(), 1u);
   EXPECT_DOUBLE_EQ(ch.last_publish_time(), 0.25);
   EXPECT_EQ(ch.latest().id, 1);
-  EXPECT_EQ(ch.latest().items, (std::vector<int>{10, 11, -1}));
+  EXPECT_EQ(ch.latest().items, (std::vector<int>{10, 11}));
   // Before the first publish there is no previous message: a default one.
   EXPECT_EQ(buffer.id, 0);
   EXPECT_TRUE(buffer.items.empty());
@@ -101,12 +84,11 @@ TEST(Channel, PublishSwapsInTheMessageAndHandsBackThePrevious) {
   EXPECT_EQ(ch.sequence(), 2u);
   EXPECT_DOUBLE_EQ(ch.last_publish_time(), 0.5);
   EXPECT_EQ(ch.latest().id, 2);
-  EXPECT_EQ(ch.latest().items, (std::vector<int>{20, -1}));
+  EXPECT_EQ(ch.latest().items, (std::vector<int>{20}));
   // The previous message comes back whole, storage included.
   EXPECT_EQ(buffer.id, 1);
-  EXPECT_EQ(buffer.items, (std::vector<int>{10, 11, -1}));
+  EXPECT_EQ(buffer.items, (std::vector<int>{10, 11}));
   EXPECT_EQ(buffer.items.data(), first_storage);
-  EXPECT_EQ(hook_times, (std::vector<double>{0.25, 0.5}));
 }
 
 // ---------- FaultRegistry ----------

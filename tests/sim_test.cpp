@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "sim/collision.h"
 #include "sim/scenario.h"
 #include "sim/world.h"
+#include "util/rng.h"
 
 namespace drivefi::sim {
 namespace {
@@ -47,6 +49,95 @@ TEST(Collision, TouchingCorners) {
   b.cx = 2.1;
   b.cy = 2.1;
   EXPECT_FALSE(obb_overlap(a, b));
+}
+
+TEST(Collision, BroadPhaseNeverRulesOutAnOverlap) {
+  // obb_may_overlap may say false only where the SAT says false. Seeded
+  // pairs of rotated boxes: at random distances up to past the sum of the
+  // circumradii, corner to corner around the distance where the corners
+  // touch (overlaps, touching and near misses), side by side, and with one
+  // non-finite input.
+  util::Rng rng(20271);
+  const auto random_box = [&rng] {
+    return Obb{rng.uniform(-1e3, 1e3), rng.uniform(-50.0, 50.0),
+               rng.uniform(-4.0, 4.0), rng.uniform(0.0, 3.0),
+               rng.uniform(0.0, 1.5)};
+  };
+  const auto radius = [](const Obb& o) {
+    return std::hypot(o.half_length, o.half_width);
+  };
+  std::size_t ruled_out = 0, sat_overlaps = 0, corner_overlaps = 0;
+  std::size_t near_misses = 0, nonfinite_overlaps = 0, missed = 0;
+  const auto check = [&](const Obb& a, const Obb& b) {
+    const bool may = obb_may_overlap(a, b);
+    const bool sat = obb_overlap(a, b);
+    ruled_out += !may;
+    sat_overlaps += sat;
+    near_misses += may && !sat;
+    if (sat && !may && missed++ == 0)
+      ADD_FAILURE() << std::hexfloat << "ruled out an overlap: a {" << a.cx
+                    << ", " << a.cy << ", " << a.heading << ", "
+                    << a.half_length << ", " << a.half_width << "} b {" << b.cx
+                    << ", " << b.cy << ", " << b.heading << ", "
+                    << b.half_length << ", " << b.half_width << "}";
+    return sat;
+  };
+
+  for (int i = 0; i < 100000; ++i) {
+    const Obb a = random_box();
+    Obb b = random_box();
+    const double reach = radius(a) + radius(b);
+
+    // Anywhere up to past the circles' reach.
+    const double dir = rng.uniform(-M_PI, M_PI);
+    const double d = reach * rng.uniform(0.0, 1.01);
+    b.cx = a.cx + d * std::cos(dir);
+    b.cy = a.cy + d * std::sin(dir);
+    check(a, b);
+
+    // Corner to corner: b's corner points back at a's along the line of
+    // centres, so the boxes first touch at d = reach. The gap runs from
+    // overlap through touching to just past the broad phase's margins.
+    const double sa = rng.bernoulli(0.5) ? 1.0 : -1.0;
+    const double sb = rng.bernoulli(0.5) ? 1.0 : -1.0;
+    const double corner = a.heading + std::atan2(sa * a.half_width,
+                                                 a.half_length);
+    b.heading = corner + M_PI - std::atan2(sb * b.half_width, b.half_length);
+    const double gaps[] = {-1e-3, -1e-9, 0.0, 1e-12, 1e-9, 1e-6, 1e-4,
+                           1.0001e-3 * reach + 1e-6, 2e-3 * reach + 1e-6};
+    for (const double gap : gaps) {
+      b.cx = a.cx + (reach + gap) * std::cos(corner);
+      b.cy = a.cy + (reach + gap) * std::sin(corner);
+      corner_overlaps += check(a, b);
+    }
+
+    // Side by side at the same heading, touching along the long sides.
+    b = a;
+    const double lateral = 2.0 * a.half_width * rng.uniform(0.999, 1.001);
+    b.cx = a.cx - lateral * std::sin(a.heading);
+    b.cy = a.cy + lateral * std::cos(a.heading);
+    check(a, b);
+
+    // One non-finite input, far apart or close.
+    const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity()};
+    Obb pair[2] = {a, random_box()};
+    double* fields[] = {&pair[0].cx, &pair[0].cy, &pair[0].heading,
+                        &pair[0].half_length, &pair[0].half_width,
+                        &pair[1].cx, &pair[1].cy, &pair[1].heading,
+                        &pair[1].half_length, &pair[1].half_width};
+    *fields[rng.uniform_index(std::size(fields))] =
+        bad[rng.uniform_index(std::size(bad))];
+    nonfinite_overlaps += check(pair[0], pair[1]);
+  }
+  EXPECT_EQ(missed, 0u);
+  // Every kind of pair occurred.
+  EXPECT_GT(ruled_out, 50000u);
+  EXPECT_GT(sat_overlaps, 100000u);
+  EXPECT_GT(corner_overlaps, 100000u);
+  EXPECT_GT(near_misses, 50000u);
+  EXPECT_GT(nonfinite_overlaps, 10000u);
 }
 
 // ---------- World ----------
