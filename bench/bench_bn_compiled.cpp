@@ -88,21 +88,18 @@ int main(int argc, char** argv) {
   // Candidate queries straight from the fault catalog: each mapped
   // candidate is one (variable, corrupted value, scene window) do-query,
   // exactly the shape the selection sweep asks.
-  const auto catalog =
-      core::build_catalog(suite, core::default_target_ranges(), 7.5);
-  const auto target_map = core::default_target_to_bn_variable();
+  const auto catalog = core::build_catalog(suite, 7.5);
   std::vector<QueryCase> cases;
   for (std::size_t i = 0; i < catalog.size(); ++i) {
     const core::CandidateFault fault = catalog.at(i);
-    const auto map_it = target_map.find(fault.target);
-    if (map_it == target_map.end()) continue;
+    const ads::FaultTargetRow& target = ads::kFaultTargets[fault.target];
+    if (target.bn_variable.empty()) continue;
     if (fault.scenario_index >= goldens.size()) continue;
     QueryCase qc;
     qc.trace = &goldens[fault.scenario_index];
     qc.scene_index = fault.scene_index;
-    qc.variable = map_it->second;
-    qc.value =
-        core::fault_value_to_bn_value(fault.target, fault.value, qc.variable);
+    qc.variable = target.bn_variable;
+    qc.value = fault.value - target.bn_offset;
     // Keep only windows that actually produce a prediction.
     if (!compiled.predict(*qc.trace, qc.scene_index, qc.variable, qc.value))
       continue;
@@ -136,9 +133,9 @@ int main(int argc, char** argv) {
   // per-structure cache is the whole point; the sweep then reuses it for
   // every candidate (exactly how SafetyPredictor holds its plans).
   std::map<std::string, const bn::CompiledQuery*> var_plans;
-  for (const auto& [target, variable] : target_map) {
-    (void)target;
-    if (var_plans.count(variable)) continue;
+  for (const ads::FaultTargetRow& target : ads::kFaultTargets) {
+    const std::string variable(target.bn_variable);
+    if (variable.empty() || var_plans.count(variable)) continue;
     std::vector<std::string> intervention_nodes;
     for (int s = 1; s <= slices - 2; ++s)
       intervention_nodes.push_back(bn::DbnTemplate::slice_name(variable, s));

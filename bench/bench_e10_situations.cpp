@@ -35,8 +35,7 @@ int main(int argc, char** argv) {
 
   const core::SafetyPredictor predictor(goldens);
   const core::BayesianFaultSelector selector(predictor);
-  const auto catalog =
-      core::build_catalog(suite, core::default_target_ranges(), 7.5);
+  const auto catalog = core::build_catalog(suite, 7.5);
   const core::SelectionResult selection =
       selector.select_critical_faults(catalog, goldens);
   std::printf("selected %zu critical faults out of %zu candidates\n",

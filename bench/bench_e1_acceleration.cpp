@@ -43,11 +43,9 @@ int main() {
               per_run_seconds, experiment.median_run_wall_seconds());
 
   // Catalog over the golden suite (what the selector actually sweeps).
-  const auto catalog =
-      core::build_catalog(golden_suite, core::default_target_ranges(), 7.5);
+  const auto catalog = core::build_catalog(golden_suite, 7.5);
   // Catalog over the full 7200-scene corpus (cost model only).
-  const auto full_catalog =
-      core::build_catalog(corpus, core::default_target_ranges(), 7.5);
+  const auto full_catalog = core::build_catalog(corpus, 7.5);
 
   const core::SafetyPredictor predictor(goldens);
   const core::BayesianFaultSelector selector(predictor);

@@ -27,8 +27,7 @@ int main() {
 
   const core::SafetyPredictor predictor(goldens);
   const core::BayesianFaultSelector selector(predictor);
-  const auto catalog =
-      core::build_catalog(suite, core::default_target_ranges(), 7.5);
+  const auto catalog = core::build_catalog(suite, 7.5);
   const core::SelectionResult selection =
       selector.select_critical_faults(catalog, goldens);
 

@@ -51,7 +51,7 @@ int main() {
     sim::World world(scenario.world);
     ads::AdsPipeline pipeline(world, config);
     ads::ValueFault fault;
-    fault.target = "plan.target_accel";
+    fault.target = ads::target_index("plan.target_accel");
     fault.value = 2.5;  // planner range max (paper: throttle 0.2 -> 0.6)
     fault.start_time = t_inject;
     fault.hold_duration = hold;

@@ -33,7 +33,7 @@ int main() {
     ads::AdsPipeline pipeline(world, config);
     if (hold > 0.0) {
       ads::ValueFault fault;
-      fault.target = "perception.range";
+      fault.target = ads::target_index("perception.range");
       fault.value = 15.0;  // minimum sensing range
       fault.start_time = 8.0;  // just before the reveal
       fault.hold_duration = hold;

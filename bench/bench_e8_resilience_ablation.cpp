@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
       config.watchdog.enabled = watchdog_on;
       ads::AdsPipeline pipeline(world, config);
       ads::ValueFault fault;
-      fault.target = "plan.target_accel";
+      fault.target = ads::target_index("plan.target_accel");
       fault.value = std::numeric_limits<double>::quiet_NaN();
       fault.start_time = 6.0 + 2.5 * static_cast<double>(i);
       fault.hold_duration = 0.2;

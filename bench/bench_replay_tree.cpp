@@ -81,9 +81,7 @@ core::Experiment make_engine(const std::vector<sim::Scenario>& suite,
 class PinnedTimeModel : public core::FaultModel {
  public:
   PinnedTimeModel(std::size_t n, double fraction, const core::Experiment& e)
-      : n_(n), fraction_(fraction),
-        targets_(core::default_target_ranges()),
-        scenario_count_(e.scenarios().size()) {}
+      : n_(n), fraction_(fraction), scenario_count_(e.scenarios().size()) {}
 
   std::string name() const override { return "pinned-time"; }
   std::size_t run_count() const override { return n_; }
@@ -95,8 +93,8 @@ class PinnedTimeModel : public core::FaultModel {
     spec.hold_seconds = e.transient_hold_seconds();
     core::CandidateFault& fault = spec.fault;
     fault.scenario_index = i % scenario_count_;
-    const auto& target = targets_[(i / scenario_count_) % targets_.size()];
-    fault.target = target.name;
+    fault.target = (i / scenario_count_) % ads::kFaultTargets.size();
+    const ads::FaultTargetRow& target = ads::kFaultTargets[fault.target];
     fault.extreme = i % 2 ? core::Extreme::kMin : core::Extreme::kMax;
     fault.value =
         fault.extreme == core::Extreme::kMin ? target.min_value : target.max_value;
@@ -110,7 +108,6 @@ class PinnedTimeModel : public core::FaultModel {
  private:
   std::size_t n_;
   double fraction_;
-  std::vector<core::TargetRange> targets_;
   std::size_t scenario_count_;
 };
 

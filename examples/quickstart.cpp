@@ -39,7 +39,7 @@ int main() {
   core::CandidateFault fault;
   fault.scenario_index = 0;
   fault.inject_time = 15.0;
-  fault.target = "control.throttle";
+  fault.target = ads::target_index("control.throttle");
   fault.value = 1.0;
 
   // 4. Replay it against the golden baseline and classify.

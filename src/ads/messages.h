@@ -1,6 +1,6 @@
 // Message types flowing between ADS modules (the I_t, M_t, W_t, U_{A,t}
 // and A_t of the paper's Fig. 1). Every scalar field that a fault model
-// can corrupt is registered in the FaultRegistry by the pipeline.
+// can corrupt has a row in ads/fault_targets.h.
 #pragma once
 
 #include <cstdint>

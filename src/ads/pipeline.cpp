@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <type_traits>
+#include <variant>
 
 #include "util/bits.h"
 
@@ -53,7 +55,11 @@ AdsPipeline::AdsPipeline(sim::World& world, const PipelineConfig& config)
       pid_(config.pid),
       watchdog_(config.watchdog) {
   build_modules();
-  register_fault_targets();
+  // Register i is target i, so the hardware injector flips bits in the
+  // same live variables the value faults write.
+  for (std::size_t i = 0; i < kFaultTargets.size(); ++i)
+    arch_.bind({hw::Protection::kNone, [this, i] { return target_value(i); },
+                [this, i](double v) { set_target_value(i, v); }});
 }
 
 void AdsPipeline::arm_value_fault(const ValueFault& fault) {
@@ -198,146 +204,55 @@ void AdsPipeline::build_modules() {
                         [this](double t) { record_scene(t); });
 }
 
-void AdsPipeline::register_fault_targets() {
-  using runtime::FaultTarget;
-  auto add = [this](const std::string& name, const std::string& module,
-                    double lo, double hi, std::function<double()> get,
-                    std::function<void(double)> set) {
-    registry_.register_target({name, module, lo, hi, std::move(get),
-                               std::move(set)});
-  };
-
-  // Sensor outputs (I_t, M_t).
-  add("gps.x", "gps", 0.0, 2000.0,
-      [this] { return gps_.has_message() ? gps_.latest().x : 0.0; },
-      [this](double v) { if (gps_.has_message()) gps_.mutable_latest().x = v; });
-  add("gps.y", "gps", -5.0, 12.0,
-      [this] { return gps_.has_message() ? gps_.latest().y : 0.0; },
-      [this](double v) { if (gps_.has_message()) gps_.mutable_latest().y = v; });
-  add("gps.heading", "gps", -0.6, 0.6,
-      [this] { return gps_.has_message() ? gps_.latest().heading : 0.0; },
-      [this](double v) {
-        if (gps_.has_message()) gps_.mutable_latest().heading = v;
-      });
-  add("imu.speed", "imu", 0.0, 45.0,
-      [this] { return imu_.has_message() ? imu_.latest().speed : 0.0; },
-      [this](double v) { if (imu_.has_message()) imu_.mutable_latest().speed = v; });
-  add("imu.accel", "imu", -10.0, 10.0,
-      [this] { return imu_.has_message() ? imu_.latest().accel : 0.0; },
-      [this](double v) { if (imu_.has_message()) imu_.mutable_latest().accel = v; });
-  add("imu.yaw_rate", "imu", -1.0, 1.0,
-      [this] { return imu_.has_message() ? imu_.latest().yaw_rate : 0.0; },
-      [this](double v) {
-        if (imu_.has_message()) imu_.mutable_latest().yaw_rate = v;
-      });
-
-  // Localization outputs.
-  add("localization.x", "localization", 0.0, 2000.0,
-      [this] {
-        return localization_.has_message() ? localization_.latest().x : 0.0;
-      },
-      [this](double v) {
-        if (localization_.has_message()) localization_.mutable_latest().x = v;
-      });
-  add("localization.y", "localization", -5.0, 12.0,
-      [this] {
-        return localization_.has_message() ? localization_.latest().y : 0.0;
-      },
-      [this](double v) {
-        if (localization_.has_message()) localization_.mutable_latest().y = v;
-      });
-  add("localization.theta", "localization", -0.6, 0.6,
-      [this] {
-        return localization_.has_message() ? localization_.latest().theta : 0.0;
-      },
-      [this](double v) {
-        if (localization_.has_message())
-          localization_.mutable_latest().theta = v;
-      });
-  add("localization.v", "localization", 0.0, 45.0,
-      [this] {
-        return localization_.has_message() ? localization_.latest().v : 0.0;
-      },
-      [this](double v) {
-        if (localization_.has_message()) localization_.mutable_latest().v = v;
-      });
-
-  // Perception / world model (W_t).
-  add("perception.range", "perception", 15.0, 250.0,
-      [this] { return config_.object_sensor.range; },
-      [this](double v) { config_.object_sensor.range = v; });
-  add("world_model.lead_gap", "perception", 0.0, 250.0,
-      [this] {
-        return world_model_.has_message() ? world_model_.latest().lead_gap
-                                          : -1.0;
-      },
-      [this](double v) {
-        if (world_model_.has_message())
-          world_model_.mutable_latest().lead_gap = v;
-      });
-  add("world_model.lead_rel_speed", "perception", -40.0, 40.0,
-      [this] {
-        return world_model_.has_message()
-                   ? world_model_.latest().lead_rel_speed
-                   : 0.0;
-      },
-      [this](double v) {
-        if (world_model_.has_message())
-          world_model_.mutable_latest().lead_rel_speed = v;
-      });
-
-  // Planner outputs (U_{A,t}).
-  add("plan.target_accel", "planner", -6.0, 2.5,
-      [this] { return plan_.has_message() ? plan_.latest().target_accel : 0.0; },
-      [this](double v) {
-        if (plan_.has_message()) plan_.mutable_latest().target_accel = v;
-      });
-  add("plan.target_steer", "planner", -0.3, 0.3,
-      [this] { return plan_.has_message() ? plan_.latest().target_steer : 0.0; },
-      [this](double v) {
-        if (plan_.has_message()) plan_.mutable_latest().target_steer = v;
-      });
-  add("plan.target_speed", "planner", 0.0, 45.0,
-      [this] { return plan_.has_message() ? plan_.latest().target_speed : 0.0; },
-      [this](double v) {
-        if (plan_.has_message()) plan_.mutable_latest().target_speed = v;
-      });
-
-  // Control outputs (A_t).
-  add("control.throttle", "control", 0.0, 1.0,
-      [this] { return control_.has_message() ? control_.latest().throttle : 0.0; },
-      [this](double v) {
-        if (control_.has_message()) control_.mutable_latest().throttle = v;
-      });
-  add("control.brake", "control", 0.0, 1.0,
-      [this] { return control_.has_message() ? control_.latest().brake : 0.0; },
-      [this](double v) {
-        if (control_.has_message()) control_.mutable_latest().brake = v;
-      });
-  add("control.steering", "control", -0.55, 0.55,
-      [this] { return control_.has_message() ? control_.latest().steering : 0.0; },
-      [this](double v) {
-        if (control_.has_message()) control_.mutable_latest().steering = v;
-      });
-
-  // Bind every registry target into the simulated architectural state so
-  // the hardware injector can flip bits in the same live variables.
-  for (const auto& target : registry_.targets()) {
-    hw::BoundRegister reg;
-    reg.name = target.name;
-    reg.protection = hw::Protection::kNone;
-    reg.get = target.get;
-    reg.set = target.set;
-    arch_.bind(std::move(reg));
+template <typename Msg, typename Self>
+auto& AdsPipeline::channel(Self& self) {
+  if constexpr (std::is_same_v<Msg, GpsMsg>) {
+    return self.gps_;
+  } else if constexpr (std::is_same_v<Msg, ImuMsg>) {
+    return self.imu_;
+  } else if constexpr (std::is_same_v<Msg, LocalizationMsg>) {
+    return self.localization_;
+  } else if constexpr (std::is_same_v<Msg, WorldModelMsg>) {
+    return self.world_model_;
+  } else if constexpr (std::is_same_v<Msg, PlanMsg>) {
+    return self.plan_;
+  } else {
+    static_assert(std::is_same_v<Msg, ControlMsg>);
+    return self.control_;
   }
+}
+
+double AdsPipeline::target_value(std::size_t target) const {
+  return std::visit(
+      [this]<typename Owner>(double Owner::*field) {
+        if constexpr (std::is_same_v<Owner, ObjectSensorConfig>) {
+          return config_.object_sensor.*field;
+        } else {
+          const auto& ch = channel<Owner>(*this);
+          return ch.has_message() ? ch.latest().*field : Owner{}.*field;
+        }
+      },
+      kFaultTargets[target].field);
+}
+
+void AdsPipeline::set_target_value(std::size_t target, double value) {
+  std::visit(
+      [this, value]<typename Owner>(double Owner::*field) {
+        if constexpr (std::is_same_v<Owner, ObjectSensorConfig>) {
+          config_.object_sensor.*field = value;
+        } else {
+          auto& ch = channel<Owner>(*this);
+          if (ch.has_message()) ch.mutable_latest().*field = value;
+        }
+      },
+      kFaultTargets[target].field);
 }
 
 void AdsPipeline::apply_value_faults(double t) {
   for (const auto& fault : value_faults_) {
     if (t < fault.start_time || t > fault.start_time + fault.hold_duration)
       continue;
-    const runtime::FaultTarget* target = registry_.find(fault.target);
-    if (target) target->set(fault.value);
+    set_target_value(fault.target, fault.value);
   }
 }
 
@@ -348,13 +263,7 @@ void AdsPipeline::apply_bit_faults() {
     if (arch_.instructions_retired() < bit_faults_[i].instruction_index)
       continue;
     bit_fault_done_[i] = true;
-    // Locate the bound register by name.
-    for (std::size_t r = 0; r < arch_.register_count(); ++r) {
-      if (arch_.reg(r).name == bit_faults_[i].target) {
-        arch_.inject(r, bit_faults_[i].bits, fault_rng_);
-        break;
-      }
-    }
+    arch_.inject(bit_faults_[i].target, bit_faults_[i].bits, fault_rng_);
   }
 }
 

@@ -1,8 +1,8 @@
 // The assembled ADS: sensors -> localization (EKF) -> perception/tracking
 // (world model W_t) -> planner (U_{A,t}) -> PID control (A_t) -> vehicle,
-// wired over typed channels and a deterministic rate scheduler, with every
-// module-output scalar registered as a fault target. This is the
-// reproduction's stand-in for DriveAV / Apollo 3.0.
+// wired over typed channels and a deterministic rate scheduler, with the
+// fault targets of ads/fault_targets.h read and written through their
+// rows. This is the reproduction's stand-in for DriveAV / Apollo 3.0.
 #pragma once
 
 #include <array>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "ads/ekf.h"
+#include "ads/fault_targets.h"
 #include "ads/messages.h"
 #include "ads/pid.h"
 #include "ads/planner.h"
@@ -21,7 +22,6 @@
 #include "hw/arch_state.h"
 #include "kinematics/safety.h"
 #include "runtime/channel.h"
-#include "runtime/fault_registry.h"
 #include "runtime/scheduler.h"
 #include "sim/world.h"
 #include "util/rng.h"
@@ -101,19 +101,20 @@ std::array<double, kSceneVariableCount> scene_variable_values(
     const SceneRecord& record);
 
 // A value-corruption fault (fault model (b) and Bayesian-selected faults):
-// write `value` into the registry target during [start, start + hold].
+// write `value` into target `target` (a row of kFaultTargets) during
+// [start, start + hold].
 struct ValueFault {
-  std::string target;
+  std::size_t target = 0;
   double value = 0.0;
   double start_time = 0.0;
   double hold_duration = 0.05;  // ~one producer period by default
 };
 
 // A hardware fault (fault model (a)): flip `bits` random bits of the
-// register bound to `target` once, when the dynamic instruction count
-// first reaches `instruction_index`.
+// register bound to target `target` (a row of kFaultTargets) once, when
+// the dynamic instruction count first reaches `instruction_index`.
 struct BitFault {
-  std::string target;
+  std::size_t target = 0;
   unsigned bits = 1;
   std::uint64_t instruction_index = 0;
 };
@@ -148,8 +149,8 @@ struct PipelineSnapshot {
   ObjectTracker::Snapshot tracker;
   PidController::Snapshot pid;
   Watchdog::Snapshot watchdog;
-  // "perception.range" is a registered fault target that writes live
-  // config, so the object-sensor config is runtime state.
+  // "perception.range" is a fault target that writes live config, so the
+  // object-sensor config is runtime state.
   ObjectSensorConfig object_sensor;
   std::set<std::string> hung_modules;
   double last_primary_control_time = -1.0;
@@ -218,8 +219,12 @@ class AdsPipeline {
   void splice_golden_tail(const std::vector<SceneRecord>& golden,
                           std::size_t from);
 
-  // Fault interface.
-  runtime::FaultRegistry& fault_registry() { return registry_; }
+  // Fault interface. Target i is row i of kFaultTargets and register i of
+  // arch_state(). A channel target reads as its field of a default message
+  // until the channel first publishes, and writing it before then does
+  // nothing.
+  double target_value(std::size_t target) const;
+  void set_target_value(std::size_t target, double value);
   hw::ArchState& arch_state() { return arch_; }
   void arm_value_fault(const ValueFault& fault);
   void arm_bit_fault(const BitFault& fault) { bit_faults_.push_back(fault); }
@@ -252,7 +257,9 @@ class AdsPipeline {
 
  private:
   void build_modules();
-  void register_fault_targets();
+  // The channel whose latest message is a Msg; Self picks the constness.
+  template <typename Msg, typename Self>
+  static auto& channel(Self& self);
   void apply_value_faults(double t);
   void apply_bit_faults();
   void hang(const std::string& module);
@@ -268,7 +275,6 @@ class AdsPipeline {
   util::Rng fault_rng_;
 
   runtime::Scheduler scheduler_;
-  runtime::FaultRegistry registry_;
   hw::ArchState arch_;
 
   runtime::Channel<GpsMsg> gps_{"gps"};

@@ -156,11 +156,12 @@ SafetyPredictor::SafetyPredictor(bn::LinearGaussianNetwork net,
   init_compiled(kCallingThread);
 }
 
-std::size_t SafetyPredictor::variable_id(const std::string& variable) {
+std::size_t SafetyPredictor::variable_id(std::string_view variable) {
   const auto& names = ads::scene_variable_names();
   const auto it = std::find(names.begin(), names.end(), variable);
   if (it == names.end())
-    throw std::out_of_range("SafetyPredictor: no scene variable " + variable);
+    throw std::out_of_range("SafetyPredictor: no scene variable " +
+                            std::string(variable));
   return static_cast<std::size_t>(it - names.begin());
 }
 

@@ -29,6 +29,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ads/pipeline.h"
@@ -130,7 +131,7 @@ class SafetyPredictor {
 
   /// A scene variable's id: its index in ads::scene_variable_names().
   /// Throws std::out_of_range for a name that is not a scene variable.
-  static std::size_t variable_id(const std::string& variable);
+  static std::size_t variable_id(std::string_view variable);
 
   /// Fault-free one-step prediction (used by the E6 accuracy bench): same
   /// window, no intervention.

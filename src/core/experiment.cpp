@@ -149,8 +149,9 @@ InjectionRecord Experiment::execute(const RunSpec& spec,
     if (record.description.empty()) {
       std::ostringstream desc;
       desc << scenarios_.at(spec.fault.scenario_index).name
-           << " t=" << spec.fault.inject_time << " " << spec.fault.target
-           << "=" << spec.fault.value;
+           << " t=" << spec.fault.inject_time << " "
+           << ads::kFaultTargets[spec.fault.target].name << "="
+           << spec.fault.value;
       record.description = desc.str();
     }
     record.scenario_index = spec.fault.scenario_index;
@@ -353,7 +354,7 @@ RunResult Experiment::replay_value_fault(
 }
 
 RunResult Experiment::replay_bit_fault(std::size_t scenario_index,
-                                       const std::string& target,
+                                       std::size_t target,
                                        unsigned bits,
                                        std::uint64_t instruction_index,
                                        std::uint64_t fault_seed,

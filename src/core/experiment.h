@@ -175,7 +175,7 @@ class Experiment {
                                const ads::PipelineSnapshot* fork_override = nullptr,
                                const SpliceCandidates* extra_splice = nullptr) const;
   RunResult replay_bit_fault(std::size_t scenario_index,
-                             const std::string& target, unsigned bits,
+                             std::size_t target, unsigned bits,
                              std::uint64_t instruction_index,
                              std::uint64_t fault_seed,
                              const ads::PipelineSnapshot* fork_override = nullptr,

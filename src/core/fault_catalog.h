@@ -7,9 +7,9 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
+#include "ads/fault_targets.h"
 #include "sim/scenario.h"
 
 namespace drivefi::core {
@@ -20,48 +20,38 @@ struct CandidateFault {
   std::size_t scenario_index = 0;
   std::size_t scene_index = 0;  // frame within the scenario at scene_hz
   double inject_time = 0.0;     // s
-  std::string target;           // FaultRegistry name
+  std::size_t target = 0;       // row of ads::kFaultTargets
   Extreme extreme = Extreme::kMax;
   double value = 0.0;           // corrupted value (target min or max)
 };
 
-/// Target names + [min,max] ranges; decoupled from a live pipeline so the
-/// catalog can be built without running anything.
-struct TargetRange {
-  std::string name;
-  double min_value;
-  double max_value;
-};
-
 /// The catalog as a description of the cross product, not a list of it:
-/// position i runs over scenarios, then frames, then targets, then
-/// {min, max}, so a frame's 2 * targets candidates are contiguous. Sweeps
-/// generate candidates from it on the fly; at(i) builds one.
+/// position i runs over scenarios, then frames, then the rows of
+/// ads::kFaultTargets, then {min, max}, so a frame's candidates are
+/// contiguous. Sweeps generate candidates from it on the fly; at(i) builds
+/// one.
 struct FaultCatalog {
   std::vector<std::size_t> frames;  // per scenario, at scene_hz
-  std::vector<TargetRange> targets;
   double scene_hz = 7.5;
   std::size_t scene_count = 0;      // sum of frames
 
+  static constexpr std::size_t candidates_per_frame() {
+    return 2 * ads::kFaultTargets.size();
+  }
+
   std::size_t scenario_count() const { return frames.size(); }
-  std::size_t variable_count() const { return targets.size(); }
-  std::size_t candidates_per_frame() const { return 2 * targets.size(); }
   std::size_t size() const { return scene_count * candidates_per_frame(); }
 
   /// The candidate at position i; throws std::out_of_range past size().
   CandidateFault at(std::size_t i) const;
-  /// The candidate for (scenario, frame, target index, extreme).
+  /// The candidate for (scenario, frame, target row, extreme).
   CandidateFault fault(std::size_t scenario, std::size_t frame,
                        std::size_t target, Extreme extreme) const;
 };
 
-/// The default injectable-variable list (mirrors AdsPipeline's registry).
-std::vector<TargetRange> default_target_ranges();
-
 /// Describes the full catalog over a scenario suite at the given scene
 /// rate.
 FaultCatalog build_catalog(const std::vector<sim::Scenario>& scenarios,
-                           const std::vector<TargetRange>& targets,
                            double scene_hz = 7.5);
 
 /// Cost model for exhaustively simulating the catalog: every fault requires

@@ -10,7 +10,7 @@
 namespace drivefi::core {
 
 BitFlipModel::BitFlipModel(std::size_t n, std::uint64_t seed, unsigned bits)
-    : n_(n), seed_(seed), bits_(bits), targets_(default_target_ranges()) {}
+    : n_(n), seed_(seed), bits_(bits) {}
 
 RunSpec BitFlipModel::spec(std::size_t run_index,
                            const Experiment& experiment) const {
@@ -21,7 +21,7 @@ RunSpec BitFlipModel::spec(std::size_t run_index,
   spec.kind = RunSpec::Kind::kBit;
   spec.run_index = run_index;
   spec.scenario_index = rng.uniform_index(scenarios.size());
-  spec.target = targets_[rng.uniform_index(targets_.size())].name;
+  spec.target = rng.uniform_index(ads::kFaultTargets.size());
   spec.bits = bits_;
   // Instruction index uniform over a nominal run's retirement count:
   // roughly perception-dominated ~5M instructions per simulated second.
@@ -31,8 +31,8 @@ RunSpec BitFlipModel::spec(std::size_t run_index,
   spec.fault_seed = rng.next_u64();
 
   std::ostringstream desc;
-  desc << scenarios[spec.scenario_index].name << " bitflip " << spec.target
-       << " @instr " << spec.instruction_index;
+  desc << scenarios[spec.scenario_index].name << " bitflip "
+       << ads::kFaultTargets[spec.target].name << " @instr " << spec.instruction_index;
   spec.description = desc.str();
   return spec;
 }
@@ -44,7 +44,7 @@ std::string BitFlipModel::params() const {
 }
 
 RandomValueModel::RandomValueModel(std::size_t n, std::uint64_t seed)
-    : n_(n), seed_(seed), targets_(default_target_ranges()) {}
+    : n_(n), seed_(seed) {}
 
 std::string RandomValueModel::params() const {
   std::ostringstream out;
@@ -68,12 +68,12 @@ RunSpec RandomValueModel::spec(std::size_t run_index,
 
   CandidateFault& fault = spec.fault;
   fault.scenario_index = rng.uniform_index(scenarios.size());
-  const TargetRange& target = targets_[rng.uniform_index(targets_.size())];
+  fault.target = rng.uniform_index(ads::kFaultTargets.size());
+  const ads::FaultTargetRow& target = ads::kFaultTargets[fault.target];
   const double duration = scenarios[fault.scenario_index].duration;
   fault.inject_time = rng.uniform(1.0, duration - 1.0);
   fault.scene_index = static_cast<std::size_t>(
       fault.inject_time * experiment.pipeline_config().scene_hz);
-  fault.target = target.name;
   fault.extreme = rng.bernoulli(0.5) ? Extreme::kMin : Extreme::kMax;
   fault.value =
       fault.extreme == Extreme::kMin ? target.min_value : target.max_value;
@@ -128,9 +128,9 @@ BayesianFaultModel::BayesianFaultModel(
 
 void BayesianFaultModel::select(const Experiment& experiment,
                                 const BayesianCampaignConfig& config) {
-  const BayesianFaultSelector selector(*predictor_, config.target_map);
+  const BayesianFaultSelector selector(*predictor_);
   selection_ = selector.select_critical_faults(
-      build_catalog(experiment.scenarios(), default_target_ranges(),
+      build_catalog(experiment.scenarios(),
                     experiment.pipeline_config().scene_hz),
       experiment.goldens(), config.selection);
   const std::size_t count =
@@ -163,12 +163,13 @@ std::string BayesianFaultModel::params() const {
   // Shards of a Bayesian campaign must replay the SAME F_crit list, but a
   // --load-bn'd predictor (fitted elsewhere) can select differently on an
   // otherwise-identical manifest -- so pin the replay list itself by
-  // content hash, not just its shape.
+  // content hash, not just its shape. The hash takes the target's name, not
+  // its row: the row is the table's layout, the name what was corrupted.
   util::Fnv1a fnv;
   for (const SelectedFault& sf : replays_) {
     fnv.add(static_cast<std::uint64_t>(sf.fault.scenario_index));
     fnv.add(static_cast<std::uint64_t>(sf.fault.scene_index));
-    fnv.add(std::string_view(sf.fault.target));
+    fnv.add(ads::kFaultTargets[sf.fault.target].name);
     fnv.add(static_cast<std::uint64_t>(sf.fault.extreme));
     fnv.add(sf.fault.value);
     fnv.add(sf.fault.inject_time);

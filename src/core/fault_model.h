@@ -28,8 +28,8 @@ class ResultSink;
 
 /// One injected run, in the shape every fault model reduces to. Value
 /// faults carry a CandidateFault plus a hold duration; bit-flip faults
-/// carry a register target, a dynamic-instruction trigger, and the seed of
-/// the per-run stream that picks the flipped bit positions.
+/// carry a target row (its register), a dynamic-instruction trigger, and
+/// the seed of the per-run stream that picks the flipped bit positions.
 struct RunSpec {
   enum class Kind { kValue, kBit };
 
@@ -43,7 +43,7 @@ struct RunSpec {
 
   /// kBit: which register, how many bits, when, and the bit-position seed.
   std::size_t scenario_index = 0;
-  std::string target;
+  std::size_t target = 0;  // row of ads::kFaultTargets
   unsigned bits = 1;
   std::uint64_t instruction_index = 0;
   std::uint64_t fault_seed = 0;
@@ -88,7 +88,6 @@ class BitFlipModel : public FaultModel {
   std::size_t n_;
   std::uint64_t seed_;
   unsigned bits_;
-  std::vector<TargetRange> targets_;
 };
 
 /// Fault model (b), random baseline: n uniform-random (scenario, time,
@@ -106,7 +105,6 @@ class RandomValueModel : public FaultModel {
  private:
   std::size_t n_;
   std::uint64_t seed_;
-  std::vector<TargetRange> targets_;
 };
 
 /// Fault model (c): replay the Bayesian-selected faults in full simulation
@@ -134,8 +132,6 @@ struct BayesianCampaignConfig {
   std::size_t max_replays = 0;      // 0 = replay every selected fault
   SafetyPredictorConfig predictor;  // k-TBN fit configuration
   SelectionOptions selection;       // parallel catalog-sweep options
-  std::map<std::string, std::string> target_map =
-      default_target_to_bn_variable();
 };
 
 /// Fault model (c) as a first-class campaign: the full DriveFI loop --

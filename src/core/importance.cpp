@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <string_view>
 
 namespace drivefi::core {
 
@@ -17,11 +18,11 @@ struct Accumulator {
   double golden_delta_sum = 0.0;
 };
 
-ImportanceReport build_report(const std::map<std::string, Accumulator>& acc) {
+ImportanceReport build_report(const std::map<std::string_view, Accumulator>& acc) {
   ImportanceReport report;
   for (const auto& [target, a] : acc) {
     TargetImportance ti;
-    ti.target = target;
+    ti.target = std::string(target);
     ti.selected = a.selected;
     ti.replayed = a.replayed;
     ti.hazards = a.hazards;
@@ -49,9 +50,9 @@ ImportanceReport build_report(const std::map<std::string, Accumulator>& acc) {
 }
 
 void accumulate_selection(const std::vector<SelectedFault>& selected,
-                          std::map<std::string, Accumulator>& acc) {
+                          std::map<std::string_view, Accumulator>& acc) {
   for (const auto& sf : selected) {
-    Accumulator& a = acc[sf.fault.target];
+    Accumulator& a = acc[ads::kFaultTargets[sf.fault.target].name];
     ++a.selected;
     // The binding direction is whichever axis the prediction drove
     // non-positive; fall back to the longitudinal value.
@@ -95,14 +96,14 @@ util::Table ImportanceReport::to_table() const {
 
 ImportanceReport rank_targets(const std::vector<SelectedFault>& selected,
                               const CampaignStats& replayed) {
-  std::map<std::string, Accumulator> acc;
+  std::map<std::string_view, Accumulator> acc;
   accumulate_selection(selected, acc);
   // SelectedFaultModel campaigns record outcomes positionally; the
   // description embeds the target name, but the paired fault list is
   // authoritative.
   const std::size_t n = std::min(selected.size(), replayed.records.size());
   for (std::size_t i = 0; i < n; ++i) {
-    Accumulator& a = acc[selected[i].fault.target];
+    Accumulator& a = acc[ads::kFaultTargets[selected[i].fault.target].name];
     ++a.replayed;
     if (replayed.records[i].outcome == Outcome::kHazard) ++a.hazards;
   }
@@ -110,7 +111,7 @@ ImportanceReport rank_targets(const std::vector<SelectedFault>& selected,
 }
 
 ImportanceReport rank_targets(const std::vector<SelectedFault>& selected) {
-  std::map<std::string, Accumulator> acc;
+  std::map<std::string_view, Accumulator> acc;
   accumulate_selection(selected, acc);
   return build_report(acc);
 }

@@ -55,7 +55,7 @@ std::vector<SituationFeatures> extract_features(
                                          f.lead_gap / f.closing_speed)
                               : config.ttc_cap;
     f.delta_lon = sf.golden_delta_lon;
-    f.fault_target = sf.fault.target;
+    f.fault_target = ads::kFaultTargets[sf.fault.target].name;
     out.push_back(std::move(f));
   }
   return out;

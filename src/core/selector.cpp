@@ -1,6 +1,7 @@
 #include "core/selector.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -8,34 +9,6 @@
 #include <span>
 
 namespace drivefi::core {
-
-std::map<std::string, std::string> default_target_to_bn_variable() {
-  return {
-      {"control.throttle", "throttle"},
-      {"control.brake", "brake"},
-      {"control.steering", "steer"},
-      {"plan.target_accel", "u_accel"},
-      {"plan.target_steer", "u_steer"},
-      {"localization.v", "v"},
-      {"imu.speed", "v"},
-      {"localization.theta", "theta"},
-      {"gps.heading", "theta"},
-      {"localization.y", "y_off"},
-      {"world_model.lead_gap", "lead_gap"},
-      {"world_model.lead_rel_speed", "lead_rel_speed"},
-  };
-}
-
-double fault_value_to_bn_value(const std::string& target, double value,
-                               const std::string& bn_variable) {
-  if (target == "localization.y" && bn_variable == "y_off") {
-    // World y -> offset from the ego lane center (lane 1 at y = 3.7 in
-    // every library scenario).
-    constexpr double kEgoLaneCenter = 3.7;
-    return value - kEgoLaneCenter;
-  }
-  return value;
-}
 
 std::vector<SelectedFault> order_by_criticality(
     std::vector<std::vector<SelectedFault>>& parts,
@@ -100,11 +73,6 @@ std::vector<SelectedFault> order_by_criticality(
   return ordered;
 }
 
-BayesianFaultSelector::BayesianFaultSelector(
-    const SafetyPredictor& predictor,
-    std::map<std::string, std::string> target_map)
-    : predictor_(predictor), target_map_(std::move(target_map)) {}
-
 namespace {
 
 // Per-chunk partial result; merged in chunk order so the final
@@ -148,21 +116,19 @@ SelectionResult BayesianFaultSelector::select_critical_faults(
   // repeat each other's predictions within a frame: each such slot reuses
   // the prediction of the frame's earliest slot with the same variable and
   // value bits.
-  const std::size_t per_frame = catalog.candidates_per_frame();
-  std::vector<Slot> slots(per_frame);
+  constexpr std::size_t per_frame = FaultCatalog::candidates_per_frame();
+  std::array<Slot, per_frame> slots;
   std::size_t mapped_per_frame = 0;
   for (std::size_t k = 0; k < per_frame; ++k) {
     Slot& slot = slots[k];
     slot.first = k;
-    const TargetRange& target = catalog.targets[k / 2];
-    const auto map_it = target_map_.find(target.name);
-    if (map_it == target_map_.end()) continue;
+    const ads::FaultTargetRow& target = ads::kFaultTargets[k / 2];
+    if (target.bn_variable.empty()) continue;
     slot.mapped = true;
     ++mapped_per_frame;
-    slot.variable = SafetyPredictor::variable_id(map_it->second);
-    slot.value = fault_value_to_bn_value(
-        target.name, k % 2 == 0 ? target.min_value : target.max_value,
-        map_it->second);
+    slot.variable = SafetyPredictor::variable_id(target.bn_variable);
+    slot.value = (k % 2 == 0 ? target.min_value : target.max_value) -
+                 target.bn_offset;
     for (std::size_t j = 0; j < k; ++j)
       if (slots[j].mapped && slots[j].variable == slot.variable &&
           std::bit_cast<std::uint64_t>(slots[j].value) ==
@@ -174,17 +140,14 @@ SelectionResult BayesianFaultSelector::select_critical_faults(
 
   // A chunk is the whole frames that cover `chunk` candidates, so every
   // repeat finds its original in its own chunk whatever the chunk size.
-  const std::size_t frames = per_frame == 0 ? 0 : catalog.scene_count;
+  const std::size_t frames = catalog.scene_count;
   const std::size_t chunk_frames =
-      per_frame == 0
-          ? 1
-          : (std::max<std::size_t>(1, options.chunk) + per_frame - 1) /
-                per_frame;
+      (std::max<std::size_t>(1, options.chunk) + per_frame - 1) / per_frame;
   const std::size_t n_chunks = (frames + chunk_frames - 1) / chunk_frames;
 
   const auto evaluate_chunk = [&](std::size_t chunk_index) {
     ChunkResult out;
-    std::vector<Prediction> made(per_frame);  // the current frame's
+    std::array<Prediction, per_frame> made;  // the current frame's
     const std::size_t first = chunk_index * chunk_frames;
     const std::size_t last = std::min(first + chunk_frames, frames);
     std::size_t scenario = 0;

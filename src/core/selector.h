@@ -15,8 +15,6 @@
 /// Experiment campaigns.
 #pragma once
 
-#include <map>
-#include <string>
 #include <vector>
 
 #include "core/bayes_model.h"
@@ -63,16 +61,6 @@ struct SelectionOptions {
                             // end of the chunk's last frame
 };
 
-/// Mapping from FaultRegistry target names to BN variables. Targets with no
-/// BN counterpart (e.g. raw GPS x) are skipped by the selector, mirroring
-/// the paper's restriction to the variables its BN models.
-std::map<std::string, std::string> default_target_to_bn_variable();
-
-/// Converts a target's corrupted value into the BN variable's unit
-/// (identity except localization.y, which maps to lane offset).
-double fault_value_to_bn_value(const std::string& target, double value,
-                               const std::string& bn_variable);
-
 /// F_crit's order: most negative min(delta_lon, delta_lat) first, ties in
 /// catalog rank, which is a fault's position in `parts` read part by part.
 /// Moves every fault out of `parts` once. One slice of the keys per
@@ -85,22 +73,22 @@ std::vector<SelectedFault> order_by_criticality(
 
 class BayesianFaultSelector {
  public:
-  BayesianFaultSelector(
-      const SafetyPredictor& predictor,
-      std::map<std::string, std::string> target_map =
-          default_target_to_bn_variable());
+  explicit BayesianFaultSelector(const SafetyPredictor& predictor)
+      : predictor_(predictor) {}
 
   /// Evaluate every catalog candidate against the golden traces, sharded
-  /// across the executor. Scenes where the golden run was already unsafe
-  /// are excluded (the fault must CAUSE the violation). Deterministic:
-  /// bit-identical result at any thread count.
+  /// across the executor. A candidate is scored through its target row's
+  /// BN variable; targets with none (raw GPS x, say) are skipped, as the
+  /// paper restricts selection to the variables its BN models. Scenes
+  /// where the golden run was already unsafe are excluded (the fault must
+  /// CAUSE the violation). Deterministic: bit-identical result at any
+  /// thread count.
   SelectionResult select_critical_faults(
       const FaultCatalog& catalog, const std::vector<GoldenTrace>& traces,
       const SelectionOptions& options = {}) const;
 
  private:
   const SafetyPredictor& predictor_;
-  std::map<std::string, std::string> target_map_;
 };
 
 }  // namespace drivefi::core

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "hw/bitflip.h"
@@ -24,9 +23,9 @@ enum class Protection {
   kSecded,  // single-bit corrected, double-bit detected (drops the update)
 };
 
-// A register bound to a live ADS variable via get/set closures.
+// A register bound to a live ADS variable via get/set closures; callers
+// address registers by their bind() order.
 struct BoundRegister {
-  std::string name;
   Protection protection = Protection::kNone;
   std::function<double()> get;
   std::function<void(double)> set;

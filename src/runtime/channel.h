@@ -1,9 +1,10 @@
 // Typed single-writer pub/sub channel, modeled on the latest-value
 // semantics of Apollo's Cyber RT: consumers read the most recent message;
 // there is no queueing (an ADS always acts on the freshest state). Value
-// faults corrupt the latest message in place through the FaultRegistry's
-// setters, which reach it with mutable_latest(): the paper's injector
-// corrupts "the variables that store ADS outputs" (§II-C).
+// faults corrupt the latest message in place through
+// AdsPipeline::set_target_value, which reaches it with mutable_latest():
+// the paper's injector corrupts "the variables that store ADS outputs"
+// (§II-C).
 #pragma once
 
 #include <cstdint>

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -64,34 +65,22 @@ std::vector<sim::Scenario> small_suite() {
 
 TEST(FaultCatalog, SizeIsCrossProduct) {
   const auto scenarios = small_suite();
-  const auto targets = default_target_ranges();
-  const auto catalog = build_catalog(scenarios, targets, 7.5);
+  const auto catalog = build_catalog(scenarios, 7.5);
   std::size_t scenes = 0;
   for (const auto& s : scenarios) scenes += sim::scene_count(s, 7.5);
-  EXPECT_EQ(catalog.size(), scenes * targets.size() * 2);
+  EXPECT_EQ(catalog.size(), scenes * ads::kFaultTargets.size() * 2);
   EXPECT_EQ(catalog.scene_count, scenes);
   EXPECT_EQ(catalog.scenario_count(), scenarios.size());
-  EXPECT_EQ(catalog.variable_count(), targets.size());
 }
 
 TEST(FaultCatalog, ExhaustiveCostScalesWithCatalog) {
   const auto scenarios = small_suite();
-  const auto targets = default_target_ranges();
-  const auto catalog = build_catalog(scenarios, targets, 7.5);
+  const auto catalog = build_catalog(scenarios, 7.5);
   const double cost = exhaustive_cost_seconds(catalog, scenarios, 10.0);
   EXPECT_GT(cost, 0.0);
   // Doubling the speed ratio halves the cost.
   EXPECT_NEAR(exhaustive_cost_seconds(catalog, scenarios, 20.0), cost / 2.0,
               1e-6);
-}
-
-TEST(FaultCatalog, DefaultTargetsMatchPipelineRegistry) {
-  const auto scenarios = small_suite();
-  sim::World world(scenarios[0].world);
-  ads::AdsPipeline pipeline(world, test_pipeline_config());
-  for (const auto& target : default_target_ranges())
-    EXPECT_NE(pipeline.fault_registry().find(target.name), nullptr)
-        << target.name;
 }
 
 // ---------- Outcome classifier ----------
@@ -494,18 +483,27 @@ TEST_F(BayesModelTest, RejectsSlicesBeyondStorageAndUnknownVariables) {
 
 // ---------- Selector + campaign (mini end-to-end) ----------
 
-TEST(Selector, TargetMapCoversActuationVariables) {
-  const auto map = default_target_to_bn_variable();
-  EXPECT_EQ(map.at("control.throttle"), "throttle");
-  EXPECT_EQ(map.at("plan.target_accel"), "u_accel");
-  EXPECT_FALSE(map.contains("gps.x"));  // unmodeled
+const ads::FaultTargetRow& target_row(std::string_view name) {
+  return ads::kFaultTargets[ads::target_index(name)];
+}
+
+TEST(Selector, TargetTableMapsActuationVariables) {
+  EXPECT_EQ(target_row("control.throttle").bn_variable, "throttle");
+  EXPECT_EQ(target_row("plan.target_accel").bn_variable, "u_accel");
+  EXPECT_TRUE(target_row("gps.x").bn_variable.empty());  // unmodeled
+  // Every mapped row names a scene variable.
+  for (const ads::FaultTargetRow& row : ads::kFaultTargets) {
+    if (!row.bn_variable.empty()) {
+      EXPECT_NO_THROW(SafetyPredictor::variable_id(row.bn_variable))
+          << row.name;
+    }
+  }
 }
 
 TEST(Selector, LocalizationYMapsToLaneOffset) {
-  EXPECT_NEAR(fault_value_to_bn_value("localization.y", 12.0, "y_off"),
-              12.0 - 3.7, 1e-12);
-  EXPECT_DOUBLE_EQ(fault_value_to_bn_value("control.throttle", 1.0, "throttle"),
-                   1.0);
+  EXPECT_EQ(target_row("localization.y").bn_variable, "y_off");
+  EXPECT_EQ(target_row("localization.y").bn_offset, 3.7);
+  EXPECT_EQ(target_row("control.throttle").bn_offset, 0.0);
 }
 
 TEST(MiniCampaign, EndToEndSelectorAndValidation) {
@@ -519,8 +517,7 @@ TEST(MiniCampaign, EndToEndSelectorAndValidation) {
   SafetyPredictor predictor(goldens);
   BayesianFaultSelector selector(predictor);
 
-  const auto catalog =
-      build_catalog(scenarios, default_target_ranges(), 7.5);
+  const auto catalog = build_catalog(scenarios, 7.5);
   const SelectionResult selection =
       selector.select_critical_faults(catalog, goldens);
   EXPECT_GT(selection.candidates_evaluated, 100u);
@@ -546,8 +543,7 @@ TEST(Selector, SkipReasonAccountingIsExhaustive) {
   SafetyPredictor predictor(goldens);
   BayesianFaultSelector selector(predictor);
 
-  const auto catalog =
-      build_catalog(scenarios, default_target_ranges(), 7.5);
+  const auto catalog = build_catalog(scenarios, 7.5);
   const SelectionResult selection =
       selector.select_critical_faults(catalog, goldens);
 
@@ -582,7 +578,7 @@ TEST(BayesianFaultModelTest, FullLoopEmitsSelectionRecordAndReplays) {
   const BayesianFaultModel model(experiment, config);
 
   EXPECT_EQ(model.selection().candidates_total,
-            build_catalog(scenarios, default_target_ranges(), 7.5).size());
+            build_catalog(scenarios, 7.5).size());
   EXPECT_LE(model.run_count(), 6u);
   EXPECT_EQ(model.run_count(),
             std::min<std::size_t>(6, model.selection().critical.size()));
@@ -650,7 +646,7 @@ TEST(Campaign, ValueFaultRunsClassify) {
   benign.scenario_index = 0;
   benign.scene_index = 75;
   benign.inject_time = 10.0;
-  benign.target = "control.throttle";
+  benign.target = ads::target_index("control.throttle");
   benign.extreme = Extreme::kMin;
   benign.value = 0.0;  // killing throttle for a frame is benign
   const RunResult result = experiment.replay_value_fault(
@@ -858,7 +854,7 @@ TEST(SceneLibrary, ExtractFeaturesReadsGoldenScenes) {
   SelectedFault fault;
   fault.fault.scenario_index = 0;
   fault.fault.scene_index = 2;
-  fault.fault.target = "control.brake";
+  fault.fault.target = ads::target_index("control.brake");
   fault.golden_delta_lon = 7.0;
 
   SelectedFault out_of_range = fault;
@@ -876,10 +872,10 @@ TEST(SceneLibrary, ExtractFeaturesReadsGoldenScenes) {
 
 // ---------- Importance ranking ----------
 
-SelectedFault make_selected(const std::string& target, double predicted,
+SelectedFault make_selected(std::string_view target, double predicted,
                             double golden) {
   SelectedFault sf;
-  sf.fault.target = target;
+  sf.fault.target = ads::target_index(target);
   sf.prediction.delta_lon = predicted;
   sf.prediction.delta_lat = 10.0;
   sf.golden_delta_lon = golden;
@@ -913,12 +909,13 @@ TEST(Importance, RanksByValidatedHazards) {
 
 TEST(Importance, SelectionOnlyVariantAggregatesPredictions) {
   std::vector<SelectedFault> selected = {
-      make_selected("a", -2.0, 4.0), make_selected("a", -6.0, 8.0),
-      make_selected("b", -1.0, 1.0)};
+      make_selected("imu.speed", -2.0, 4.0),
+      make_selected("imu.speed", -6.0, 8.0),
+      make_selected("imu.accel", -1.0, 1.0)};
   const auto report = rank_targets(selected);
   ASSERT_EQ(report.targets.size(), 2u);
   // No replay info: ranking falls back to selection counts.
-  EXPECT_EQ(report.targets[0].target, "a");
+  EXPECT_EQ(report.targets[0].target, "imu.speed");
   EXPECT_DOUBLE_EQ(report.targets[0].mean_predicted_delta, -4.0);
   EXPECT_DOUBLE_EQ(report.targets[0].min_predicted_delta, -6.0);
   EXPECT_DOUBLE_EQ(report.targets[0].mean_golden_delta, 6.0);
@@ -927,11 +924,11 @@ TEST(Importance, SelectionOnlyVariantAggregatesPredictions) {
 }
 
 TEST(Importance, TableContainsEveryTarget) {
-  const auto report = rank_targets(
-      {make_selected("x", -1.0, 2.0), make_selected("y", -2.0, 3.0)});
+  const auto report = rank_targets({make_selected("gps.x", -1.0, 2.0),
+                                    make_selected("gps.y", -2.0, 3.0)});
   const std::string csv = report.to_table().to_csv();
-  EXPECT_NE(csv.find("x"), std::string::npos);
-  EXPECT_NE(csv.find("y"), std::string::npos);
+  EXPECT_NE(csv.find("gps.x"), std::string::npos);
+  EXPECT_NE(csv.find("gps.y"), std::string::npos);
 }
 
 TEST(Importance, HazardShareOfTopHandlesEdges) {

@@ -124,27 +124,28 @@ std::string selection_fingerprint(const SelectionResult& result) {
 }
 
 // The reference for the streamed sweep: every candidate materialized in
-// catalog order, then a one-thread pass that looks up each candidate's BN
-// variable by name, predicts each distinct (variable, value) of a frame
-// once, and stable-sorts F_crit by min delta.
+// catalog order, then a one-thread pass that reads each candidate's BN
+// variable by name from its target row, predicts each distinct (variable,
+// value) of a frame once, and stable-sorts F_crit by min delta.
 std::vector<CandidateFault> materialized_catalog(
-    const std::vector<sim::Scenario>& scenarios,
-    const std::vector<TargetRange>& targets, double scene_hz) {
+    const std::vector<sim::Scenario>& scenarios, double scene_hz) {
   std::vector<CandidateFault> faults;
   for (std::size_t s = 0; s < scenarios.size(); ++s) {
     const std::size_t frames = sim::scene_count(scenarios[s], scene_hz);
     for (std::size_t frame = 0; frame < frames; ++frame) {
       const double t = static_cast<double>(frame) / scene_hz;
-      for (const auto& target : targets) {
+      for (std::size_t target = 0; target < ads::kFaultTargets.size();
+           ++target) {
         for (const Extreme extreme : {Extreme::kMin, Extreme::kMax}) {
           CandidateFault fault;
           fault.scenario_index = s;
           fault.scene_index = frame;
           fault.inject_time = t;
-          fault.target = target.name;
+          fault.target = target;
           fault.extreme = extreme;
-          fault.value = extreme == Extreme::kMin ? target.min_value
-                                                 : target.max_value;
+          fault.value = extreme == Extreme::kMin
+                            ? ads::kFaultTargets[target].min_value
+                            : ads::kFaultTargets[target].max_value;
           faults.push_back(std::move(fault));
         }
       }
@@ -156,7 +157,6 @@ std::vector<CandidateFault> materialized_catalog(
 SelectionResult oracle_selection(const SafetyPredictor& predictor,
                                  const std::vector<CandidateFault>& faults,
                                  const std::vector<GoldenTrace>& traces) {
-  const auto target_map = default_target_to_bn_variable();
   SelectionResult result;
   result.candidates_total = faults.size();
   struct Made {
@@ -168,8 +168,8 @@ SelectionResult oracle_selection(const SafetyPredictor& predictor,
   std::vector<Made> frame;
   const CandidateFault* frame_fault = nullptr;
   for (const CandidateFault& fault : faults) {
-    const auto map_it = target_map.find(fault.target);
-    if (map_it == target_map.end() || fault.scenario_index >= traces.size()) {
+    const ads::FaultTargetRow& target = ads::kFaultTargets[fault.target];
+    if (target.bn_variable.empty() || fault.scenario_index >= traces.size()) {
       ++result.skipped_unmapped;
       continue;
     }
@@ -190,9 +190,8 @@ SelectionResult oracle_selection(const SafetyPredictor& predictor,
       frame.clear();
       frame_fault = &fault;
     }
-    const std::string& variable = map_it->second;
-    const double value =
-        fault_value_to_bn_value(fault.target, fault.value, variable);
+    const std::string variable(target.bn_variable);
+    const double value = fault.value - target.bn_offset;
     const auto bits = std::bit_cast<std::uint64_t>(value);
     auto made = std::find_if(frame.begin(), frame.end(), [&](const Made& m) {
       return m.value_bits == bits && m.variable == variable;
@@ -238,10 +237,8 @@ TEST(Determinism, BayesianSelectionMatchesTheMaterializedOracle) {
   const Experiment experiment(suite, test_pipeline_config());
   const SafetyPredictor predictor(experiment.goldens());
   const BayesianFaultSelector selector(predictor);
-  const auto targets = default_target_ranges();
-  const FaultCatalog catalog = build_catalog(suite, targets, 7.5);
-  const std::vector<CandidateFault> faults =
-      materialized_catalog(suite, targets, 7.5);
+  const FaultCatalog catalog = build_catalog(suite, 7.5);
+  const std::vector<CandidateFault> faults = materialized_catalog(suite, 7.5);
 
   // The description lists the materialized candidates, in their order.
   ASSERT_EQ(catalog.size(), faults.size());
@@ -278,10 +275,10 @@ TEST(Determinism, BayesianSelectionMatchesTheMaterializedOracle) {
   options.executor.threads = 2;
   options.chunk = 40;
   EXPECT_EQ(selection_fingerprint(oracle_selection(
-                predictor, materialized_catalog(ragged, targets, 7.5),
+                predictor, materialized_catalog(ragged, 7.5),
                 experiment.goldens())),
             selection_fingerprint(selector.select_critical_faults(
-                build_catalog(ragged, targets, 7.5), experiment.goldens(),
+                build_catalog(ragged, 7.5), experiment.goldens(),
                 options)));
 }
 
@@ -452,10 +449,8 @@ TEST(Determinism, CriticalityOrderTiesByCatalogRankAtEverySliceCount) {
   // and +0.0 among them, which compare equal, and empty parts sit between
   // full ones. Every slice count (one per executor thread, more threads
   // than faults included) must give that order and hand back each fault
-  // whole.
-  const auto name = [](std::size_t rank) {
-    return "a.target.name.too.long.for.inline.storage." + std::to_string(rank);
-  };
+  // whole: its target field carries a payload derived from its rank.
+  const auto payload = [](std::size_t rank) { return rank * 7919 + 3; };
   util::Rng rng(404);
   const double deltas[] = {-3.0, -1.5, -0.0, 0.0, -1e-300, 1e-300, -1.5};
   std::vector<std::vector<SelectedFault>> layout;
@@ -464,7 +459,7 @@ TEST(Determinism, CriticalityOrderTiesByCatalogRankAtEverySliceCount) {
     std::vector<SelectedFault> part(rng.uniform_index(12));
     for (SelectedFault& fault : part) {
       fault.fault.scene_index = count;
-      fault.fault.target = name(count++);
+      fault.fault.target = payload(count++);
       const double delta = deltas[rng.uniform_index(std::size(deltas))];
       // The minimum falls on either side; the other side ties it or not.
       const double other = rng.bernoulli(0.3) ? delta : delta + 2.0;
@@ -498,7 +493,7 @@ TEST(Determinism, CriticalityOrderTiesByCatalogRankAtEverySliceCount) {
   for (std::size_t rank = 0; rank < 2; ++rank) {
     SelectedFault fault;
     fault.fault.scene_index = rank;
-    fault.fault.target = name(rank);
+    fault.fault.target = payload(rank);
     fault.prediction.delta_lon = rank == 0 ? 0.0 : -0.0;
     fault.prediction.delta_lat = 1.0;
     few[2 * rank].push_back(fault);
@@ -514,7 +509,7 @@ TEST(Determinism, CriticalityOrderTiesByCatalogRankAtEverySliceCount) {
       std::vector<std::size_t> ranks;
       for (const SelectedFault& fault : ordered) {
         ranks.push_back(fault.fault.scene_index);
-        EXPECT_EQ(fault.fault.target, name(fault.fault.scene_index));
+        EXPECT_EQ(fault.fault.target, payload(fault.fault.scene_index));
       }
       EXPECT_EQ(expected, ranks);
     }

@@ -122,7 +122,7 @@ TEST(Secded, DoubleBitDetected) {
 TEST(ArchState, UnprotectedFlipCorruptsVariable) {
   double value = 2.0;
   ArchState arch;
-  arch.bind({"reg", Protection::kNone, [&] { return value; },
+  arch.bind({Protection::kNone, [&] { return value; },
              [&](double v) { value = v; }});
   const InjectionResult result = arch.inject_bit(0, 63);  // sign bit
   EXPECT_FALSE(result.masked);
@@ -133,7 +133,7 @@ TEST(ArchState, UnprotectedFlipCorruptsVariable) {
 TEST(ArchState, SecdedMasksSingleBit) {
   double value = 2.0;
   ArchState arch;
-  arch.bind({"reg", Protection::kSecded, [&] { return value; },
+  arch.bind({Protection::kSecded, [&] { return value; },
              [&](double v) { value = v; }});
   const InjectionResult result = arch.inject_bit(0, 62);
   EXPECT_TRUE(result.masked);
@@ -143,7 +143,7 @@ TEST(ArchState, SecdedMasksSingleBit) {
 TEST(ArchState, SecdedDetectsDoubleBit) {
   double value = 2.0;
   ArchState arch;
-  arch.bind({"reg", Protection::kSecded, [&] { return value; },
+  arch.bind({Protection::kSecded, [&] { return value; },
              [&](double v) { value = v; }});
   util::Rng rng(3);
   const InjectionResult result = arch.inject(0, 2, rng);
@@ -163,7 +163,7 @@ TEST(ArchState, RandomInjectionDistinctBits) {
   // flipping cannot silently cancel.
   double value = 1.0;
   ArchState arch;
-  arch.bind({"reg", Protection::kNone, [&] { return value; },
+  arch.bind({Protection::kNone, [&] { return value; },
              [&](double v) { value = v; }});
   util::Rng rng(9);
   for (int trial = 0; trial < 50; ++trial) {

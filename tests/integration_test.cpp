@@ -75,7 +75,7 @@ TEST(Integration, Example1AccelFaultAtCriticalSceneCausesHazard) {
   sim::World world(scenario.world);
   ads::AdsPipeline pipeline(world, pipeline_config());
   ads::ValueFault fault;
-  fault.target = "plan.target_accel";
+  fault.target = ads::target_index("plan.target_accel");
   fault.value = 2.5;  // the planner range maximum
   fault.start_time =
       std::max(0.0, golden.scenes[critical_scene].t - 2.0);
@@ -101,7 +101,7 @@ TEST(Integration, Example2PerceptionRangeFaultDelaysDetection) {
   sim::World world(scenario.world);
   ads::AdsPipeline pipeline(world, pipeline_config());
   ads::ValueFault fault;
-  fault.target = "perception.range";
+  fault.target = ads::target_index("perception.range");
   fault.value = 15.0;  // range min: objects appear only at 15 m
   fault.start_time = 8.0;
   fault.hold_duration = 10.0;  // through the reveal
@@ -124,7 +124,7 @@ TEST(Integration, BayesianSelectionFindsValidatedHazards) {
 
   SafetyPredictor predictor(goldens);
   BayesianFaultSelector selector(predictor);
-  const auto catalog = build_catalog(scenarios, default_target_ranges(), 7.5);
+  const auto catalog = build_catalog(scenarios, 7.5);
   const SelectionResult selection =
       selector.select_critical_faults(catalog, goldens);
   ASSERT_GT(selection.critical.size(), 0u)

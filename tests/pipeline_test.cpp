@@ -6,6 +6,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
+#include <variant>
 
 #include "ads/pipeline.h"
 #include "sim/scenario.h"
@@ -120,18 +124,69 @@ TEST(Pipeline, DifferentSeedsDiverge) {
   EXPECT_NE(run(1), run(2));
 }
 
-TEST(Pipeline, FaultRegistryCoversAllModules) {
-  const sim::Scenario scenario = sim::base_suite()[0];
-  sim::World world(scenario.world);
-  AdsPipeline pipeline(world, fast_config());
-  const auto& registry = pipeline.fault_registry();
-  EXPECT_GE(registry.size(), 19u);
-  for (const char* name :
-       {"gps.x", "imu.speed", "localization.v", "world_model.lead_gap",
-        "plan.target_accel", "control.throttle", "control.brake",
-        "control.steering", "perception.range"}) {
-    EXPECT_NE(registry.find(name), nullptr) << name;
+// How often the producer of a target row's field runs (for the config row,
+// the perception module that reads it), and when the row's channel last
+// published in a snapshot (-1 for the config row, which has no channel).
+struct Producer {
+  double hz;
+  double published_at;
+};
+
+Producer producer_of(const TargetField& field, const PipelineConfig& config,
+                     const PipelineSnapshot& snap) {
+  return std::visit(
+      [&]<typename Owner>(double Owner::*) -> Producer {
+        if constexpr (std::is_same_v<Owner, GpsMsg>)
+          return {config.gps_hz, snap.gps.last_publish_time};
+        else if constexpr (std::is_same_v<Owner, ImuMsg>)
+          return {config.imu_hz, snap.imu.last_publish_time};
+        else if constexpr (std::is_same_v<Owner, LocalizationMsg>)
+          return {config.imu_hz, snap.localization.last_publish_time};
+        else if constexpr (std::is_same_v<Owner, WorldModelMsg>)
+          return {config.perception_hz, snap.world_model.last_publish_time};
+        else if constexpr (std::is_same_v<Owner, PlanMsg>)
+          return {config.planner_hz, snap.plan.last_publish_time};
+        else if constexpr (std::is_same_v<Owner, ControlMsg>)
+          return {config.control_hz, snap.control.last_publish_time};
+        else
+          return {config.perception_hz, -1.0};
+      },
+      field);
+}
+
+// Every row of the target table at both extremes, on a live pipeline: the
+// target reads the fault's value during a short hold, and one producer
+// period after the hold a channel row's producer has published over it.
+TEST(Pipeline, EveryTargetHoldsItsValueFaultAndReleasesIt) {
+  const sim::Scenario scenario = sim::base_suite()[1];
+  const PipelineConfig config = fast_config();
+  constexpr double kStart = 5.0;
+  constexpr double kHold = 0.07;  // ends between two base ticks
+  for (std::size_t i = 0; i < kFaultTargets.size(); ++i) {
+    const FaultTargetRow& row = kFaultTargets[i];
+    for (const double value : {row.min_value, row.max_value}) {
+      SCOPED_TRACE(std::string(row.name) + " = " + std::to_string(value));
+      sim::World world(scenario.world);
+      AdsPipeline pipeline(world, config);
+      pipeline.arm_value_fault({i, value, kStart, kHold});
+      pipeline.run_until(kStart + kHold / 2.0);
+      EXPECT_EQ(pipeline.target_value(i), value);
+
+      const double hz = producer_of(row.field, config, {}).hz;
+      pipeline.run_until(kStart + kHold + 1.0 / hz + 1.0 / config.base_hz);
+      const Producer after = producer_of(row.field, config, pipeline.snapshot());
+      if (after.published_at >= 0.0) {
+        EXPECT_GT(after.published_at, kStart + kHold);
+      }
+    }
   }
+}
+
+TEST(Pipeline, TargetIndexThrowsOnAnUnknownName) {
+  EXPECT_EQ(target_index("gps.x"), 0u);
+  EXPECT_EQ(target_index("control.steering"), kFaultTargets.size() - 1);
+  EXPECT_THROW(target_index("control.throttle.x"), std::out_of_range);
+  EXPECT_THROW(target_index(""), std::out_of_range);
 }
 
 TEST(Pipeline, ValueFaultCorruptsTarget) {
@@ -140,7 +195,7 @@ TEST(Pipeline, ValueFaultCorruptsTarget) {
   AdsPipeline pipeline(world, fast_config());
 
   ValueFault fault;
-  fault.target = "control.throttle";
+  fault.target = target_index("control.throttle");
   fault.value = 1.0;
   fault.start_time = 5.0;
   fault.hold_duration = 0.5;
@@ -156,7 +211,7 @@ TEST(Pipeline, ValueFaultWindowExpires) {
   AdsPipeline pipeline(world, fast_config());
 
   ValueFault fault;
-  fault.target = "control.brake";
+  fault.target = target_index("control.brake");
   fault.value = 1.0;
   fault.start_time = 5.0;
   fault.hold_duration = 0.2;
@@ -174,7 +229,7 @@ TEST(Pipeline, ThrottleFaultChangesTrajectory) {
     AdsPipeline pipeline(world, fast_config());
     if (faulty) {
       ValueFault fault;
-      fault.target = "control.throttle";
+      fault.target = target_index("control.throttle");
       fault.value = 1.0;
       fault.start_time = 5.0;
       fault.hold_duration = 2.0;
@@ -197,7 +252,7 @@ TEST(Pipeline, WatchdogBrakesAfterControlHang) {
 
     // Kill the control module mid-cruise with a NaN plan.
     ValueFault fault;
-    fault.target = "plan.target_accel";
+    fault.target = target_index("plan.target_accel");
     fault.value = std::numeric_limits<double>::quiet_NaN();
     fault.start_time = 10.0;
     fault.hold_duration = 0.2;
@@ -225,7 +280,7 @@ TEST(Pipeline, NonFiniteInputHangsConsumer) {
 
   // NaN into the plan's target accel: the control module must hang.
   ValueFault fault;
-  fault.target = "plan.target_accel";
+  fault.target = target_index("plan.target_accel");
   fault.value = std::numeric_limits<double>::quiet_NaN();
   fault.start_time = 5.0;
   fault.hold_duration = 0.2;
@@ -242,7 +297,7 @@ TEST(Pipeline, BitFaultFiresAtInstructionIndex) {
   AdsPipeline pipeline(world, fast_config());
 
   BitFault fault;
-  fault.target = "localization.v";
+  fault.target = target_index("localization.v");
   fault.bits = 1;
   fault.instruction_index = 1'000'000;
   pipeline.arm_bit_fault(fault);

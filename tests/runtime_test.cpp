@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "runtime/channel.h"
-#include "runtime/fault_registry.h"
 #include "runtime/scheduler.h"
 
 namespace drivefi::runtime {
@@ -89,37 +88,6 @@ TEST(Channel, PublishSwapsInTheMessageAndHandsBackThePrevious) {
   EXPECT_EQ(buffer.id, 1);
   EXPECT_EQ(buffer.items, (std::vector<int>{10, 11}));
   EXPECT_EQ(buffer.items.data(), first_storage);
-}
-
-// ---------- FaultRegistry ----------
-
-TEST(FaultRegistry, RegisterFindAndAccess) {
-  double storage = 1.0;
-  FaultRegistry registry;
-  registry.register_target({"mod.var", "mod", 0.0, 10.0,
-                            [&] { return storage; },
-                            [&](double v) { storage = v; }});
-  ASSERT_EQ(registry.size(), 1u);
-  const FaultTarget* target = registry.find("mod.var");
-  ASSERT_NE(target, nullptr);
-  EXPECT_DOUBLE_EQ(target->get(), 1.0);
-  target->set(7.5);
-  EXPECT_DOUBLE_EQ(storage, 7.5);
-  EXPECT_EQ(registry.find("nope"), nullptr);
-}
-
-TEST(FaultRegistry, ByModuleFilters) {
-  double a = 0.0, b = 0.0, c = 0.0;
-  FaultRegistry registry;
-  registry.register_target({"x.a", "x", 0, 1, [&] { return a; },
-                            [&](double v) { a = v; }});
-  registry.register_target({"x.b", "x", 0, 1, [&] { return b; },
-                            [&](double v) { b = v; }});
-  registry.register_target({"y.c", "y", 0, 1, [&] { return c; },
-                            [&](double v) { c = v; }});
-  EXPECT_EQ(registry.by_module("x").size(), 2u);
-  EXPECT_EQ(registry.by_module("y").size(), 1u);
-  EXPECT_TRUE(registry.by_module("z").empty());
 }
 
 // ---------- Scheduler ----------

@@ -439,7 +439,7 @@ TEST(Snapshot, SplicedReplayEqualsSimulatedReplay) {
   perturbing.scenario_index = 0;
   perturbing.scene_index = 60;
   perturbing.inject_time = 8.0;
-  perturbing.target = "imu.speed";
+  perturbing.target = ads::target_index("imu.speed");
   perturbing.value = 45.0;
   expect_results_bit_equal(full.replay_value_fault(perturbing, 1.0 / 30.0),
                            forked.replay_value_fault(perturbing, 1.0 / 30.0));
@@ -454,7 +454,7 @@ TEST(Snapshot, SplicedReplayEqualsSimulatedReplay) {
   inert.scenario_index = 0;
   inert.scene_index = 60;
   inert.inject_time = 8.0;
-  inert.target = "perception.range";
+  inert.target = ads::target_index("perception.range");
   inert.value = 200.0;  // == ObjectSensorConfig::range in the golden run
   const core::RunResult a = full.replay_value_fault(inert, 1.0 / 30.0);
   const core::RunResult b = forked.replay_value_fault(inert, 1.0 / 30.0);
