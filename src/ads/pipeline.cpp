@@ -46,6 +46,7 @@ std::array<double, kSceneVariableCount> scene_variable_values(
 AdsPipeline::AdsPipeline(sim::World& world, const PipelineConfig& config)
     : world_(world),
       config_(config),
+      object_sensor_(config.object_sensor),
       rng_(config.seed),
       fault_rng_(config.fault_seed != 0 ? config.fault_seed
                                         : config.seed ^ 0xFA17B175DEADBEEFULL),
@@ -126,7 +127,7 @@ void AdsPipeline::build_modules() {
   });
 
   scheduler_.add_module("perception", config_.perception_hz, [this](double t) {
-    sense_objects(world_, config_.object_sensor, rng_, detections_spare_);
+    sense_objects(world_, object_sensor_, rng_, detections_spare_);
     detections_.publish(detections_spare_, t);
 
     if (!localization_.has_message()) return;
@@ -226,7 +227,7 @@ double AdsPipeline::target_value(std::size_t target) const {
   return std::visit(
       [this]<typename Owner>(double Owner::*field) {
         if constexpr (std::is_same_v<Owner, ObjectSensorConfig>) {
-          return config_.object_sensor.*field;
+          return object_sensor_.*field;
         } else {
           const auto& ch = channel<Owner>(*this);
           return ch.has_message() ? ch.latest().*field : Owner{}.*field;
@@ -239,7 +240,7 @@ void AdsPipeline::set_target_value(std::size_t target, double value) {
   std::visit(
       [this, value]<typename Owner>(double Owner::*field) {
         if constexpr (std::is_same_v<Owner, ObjectSensorConfig>) {
-          config_.object_sensor.*field = value;
+          object_sensor_.*field = value;
         } else {
           auto& ch = channel<Owner>(*this);
           if (ch.has_message()) ch.mutable_latest().*field = value;
@@ -249,11 +250,18 @@ void AdsPipeline::set_target_value(std::size_t target, double value) {
 }
 
 void AdsPipeline::apply_value_faults(double t) {
-  for (const auto& fault : value_faults_) {
-    if (t < fault.start_time || t > fault.start_time + fault.hold_duration)
-      continue;
-    set_target_value(fault.target, fault.value);
-  }
+  // Release before asserting, so a fault still held on the same target
+  // keeps it. step() calls this with the next tick's time, so a config
+  // target is released before the first module firing past its hold.
+  std::erase_if(value_faults_, [&](const ValueFault& fault) {
+    if (!(t > fault.start_time + fault.hold_duration)) return false;
+    if (const auto* field = std::get_if<double ObjectSensorConfig::*>(
+            &kFaultTargets[fault.target].field))
+      object_sensor_.**field = config_.object_sensor.**field;
+    return true;
+  });
+  for (const auto& fault : value_faults_)
+    if (!(t < fault.start_time)) set_target_value(fault.target, fault.value);
 }
 
 void AdsPipeline::apply_bit_faults() {
@@ -336,7 +344,7 @@ PipelineSnapshot AdsPipeline::snapshot() const {
   snap.tracker = tracker_.snapshot();
   snap.pid = pid_.snapshot();
   snap.watchdog = watchdog_.snapshot();
-  snap.object_sensor = config_.object_sensor;
+  snap.object_sensor = object_sensor_;
   snap.hung_modules = hung_modules_;
   snap.last_primary_control_time = last_primary_control_time_;
   return snap;
@@ -358,7 +366,7 @@ void AdsPipeline::restore(const PipelineSnapshot& snap) {
   tracker_.restore(snap.tracker);
   pid_.restore(snap.pid);
   watchdog_.restore(snap.watchdog);
-  config_.object_sensor = snap.object_sensor;
+  object_sensor_ = snap.object_sensor;
   hung_modules_ = snap.hung_modules;
   last_primary_control_time_ = snap.last_primary_control_time;
 }
@@ -387,7 +395,7 @@ bool AdsPipeline::state_matches(const PipelineSnapshot& snap) const {
                           snap.last_primary_control_time) &&
          arch_.state_equals(snap.arch) && rng_.state_equals(snap.rng) &&
          hung_modules_ == snap.hung_modules &&
-         bits_equal(config_.object_sensor, snap.object_sensor) &&
+         bits_equal(object_sensor_, snap.object_sensor) &&
          world_.state_equals(snap.world) && pid_.state_equals(snap.pid) &&
          watchdog_.state_equals(snap.watchdog) &&
          ekf_.state_equals(snap.ekf) && tracker_.state_equals(snap.tracker) &&
@@ -408,10 +416,7 @@ bool AdsPipeline::faults_quiescent() const {
                      [](bool done) { return done; }))
       return false;
   }
-  const double t = scheduler_.now();
-  for (const auto& fault : value_faults_)
-    if (!(t > fault.start_time + fault.hold_duration)) return false;
-  return true;
+  return value_faults_.empty();
 }
 
 void AdsPipeline::preload_scene_prefix(const std::vector<SceneRecord>& golden,

@@ -194,8 +194,9 @@ class AdsPipeline {
   // golden-tail splice criterion).
   bool state_matches(const PipelineSnapshot& snap) const;
   // True when no armed fault can fire or assert again: every bit fault has
-  // been injected and every value fault's hold window lies in the past.
-  // Only then can a state match against golden imply an identical tail.
+  // been injected and every value fault's hold has ended and released its
+  // target. Only then can a state match against golden imply an identical
+  // tail.
   bool faults_quiescent() const;
 
   // --- Scene-log storage (allocation-free replay loops) ---
@@ -222,7 +223,11 @@ class AdsPipeline {
   // Fault interface. Target i is row i of kFaultTargets and register i of
   // arch_state(). A channel target reads as its field of a default message
   // until the channel first publishes, and writing it before then does
-  // nothing.
+  // nothing. A value fault holds its target from start_time to the end of
+  // its hold, and then releases it: a channel target keeps the value until
+  // its producer next publishes, and a config target reads its configured
+  // value again. A bit flip is never released: it models corrupted
+  // architectural state.
   double target_value(std::size_t target) const;
   void set_target_value(std::size_t target, double value);
   hw::ArchState& arch_state() { return arch_; }
@@ -266,7 +271,10 @@ class AdsPipeline {
   void record_scene(double t);
 
   sim::World& world_;
-  PipelineConfig config_;
+  const PipelineConfig config_;
+  // The object-sensor config perception runs with: a config target's value
+  // fault writes it, and the end of the hold copies config_'s value back.
+  ObjectSensorConfig object_sensor_;
   util::Rng rng_;
   // Separate stream for fault-injection randomness (bit positions). The
   // sensor-noise stream must stay untouched by injections so an injected
@@ -297,6 +305,8 @@ class AdsPipeline {
   PidController pid_;
   Watchdog watchdog_;
 
+  // Value faults whose hold has not ended; each is dropped as it releases
+  // its target.
   std::vector<ValueFault> value_faults_;
   std::vector<BitFault> bit_faults_;
   std::vector<bool> bit_fault_done_;

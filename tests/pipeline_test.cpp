@@ -156,7 +156,8 @@ Producer producer_of(const TargetField& field, const PipelineConfig& config,
 
 // Every row of the target table at both extremes, on a live pipeline: the
 // target reads the fault's value during a short hold, and one producer
-// period after the hold a channel row's producer has published over it.
+// period after the hold a channel row's producer has published over it and
+// the config row reads its configured value again.
 TEST(Pipeline, EveryTargetHoldsItsValueFaultAndReleasesIt) {
   const sim::Scenario scenario = sim::base_suite()[1];
   const PipelineConfig config = fast_config();
@@ -177,6 +178,8 @@ TEST(Pipeline, EveryTargetHoldsItsValueFaultAndReleasesIt) {
       const Producer after = producer_of(row.field, config, pipeline.snapshot());
       if (after.published_at >= 0.0) {
         EXPECT_GT(after.published_at, kStart + kHold);
+      } else {
+        EXPECT_EQ(pipeline.target_value(i), config.object_sensor.range);
       }
     }
   }

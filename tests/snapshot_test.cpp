@@ -461,9 +461,20 @@ TEST(Snapshot, SplicedReplayEqualsSimulatedReplay) {
   expect_results_bit_equal(a, b);
   EXPECT_EQ(a.outcome, core::Outcome::kMasked);
 
-  EXPECT_EQ(forked_runs.value() - forked_before, 2u);
-  EXPECT_EQ(full_runs.value() - full_before, 2u);
-  EXPECT_EQ(spliced_runs.value() - spliced_before, 1u);
+  // A range the sensor sees no difference under (nothing lies between the
+  // configured 200 m and 250 m) still differs from golden while it is held.
+  // Its hold's end restores the configured range, so the state reconverges
+  // and the forked replay splices; a permanent config fault never would.
+  core::CandidateFault released = inert;
+  released.value = 250.0;
+  const core::RunResult c = full.replay_value_fault(released, 1.0 / 30.0);
+  const core::RunResult d = forked.replay_value_fault(released, 1.0 / 30.0);
+  expect_results_bit_equal(c, d);
+  EXPECT_EQ(c.outcome, core::Outcome::kMasked);
+
+  EXPECT_EQ(forked_runs.value() - forked_before, 3u);
+  EXPECT_EQ(full_runs.value() - full_before, 3u);
+  EXPECT_EQ(spliced_runs.value() - spliced_before, 2u);
   EXPECT_GT(run_wall.snapshot().sum_seconds, wall_before);
 }
 
