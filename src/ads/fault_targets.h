@@ -42,7 +42,7 @@ struct FaultTargetRow {
   double bn_offset;
 };
 
-inline constexpr std::array<FaultTargetRow, 19> kFaultTargets = {{
+inline constexpr auto kFaultTargets = std::to_array<FaultTargetRow>({
     // Sensor outputs (I_t, M_t).
     {"gps.x", 0.0, 2000.0, &GpsMsg::x, "", 0.0},
     {"gps.y", -5.0, 12.0, &GpsMsg::y, "", 0.0},
@@ -69,7 +69,7 @@ inline constexpr std::array<FaultTargetRow, 19> kFaultTargets = {{
     {"control.throttle", 0.0, 1.0, &ControlMsg::throttle, "throttle", 0.0},
     {"control.brake", 0.0, 1.0, &ControlMsg::brake, "brake", 0.0},
     {"control.steering", -0.55, 0.55, &ControlMsg::steering, "steer", 0.0},
-}};
+});
 
 // The row of the target called `name`, for code that names a target in
 // source; throws std::out_of_range on an unknown name.

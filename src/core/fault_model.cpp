@@ -32,7 +32,8 @@ RunSpec BitFlipModel::spec(std::size_t run_index,
 
   std::ostringstream desc;
   desc << scenarios[spec.scenario_index].name << " bitflip "
-       << ads::kFaultTargets[spec.target].name << " @instr " << spec.instruction_index;
+       << ads::kFaultTargets[spec.target].name << " @instr "
+       << spec.instruction_index;
   spec.description = desc.str();
   return spec;
 }

@@ -18,7 +18,10 @@ struct Accumulator {
   double golden_delta_sum = 0.0;
 };
 
-ImportanceReport build_report(const std::map<std::string_view, Accumulator>& acc) {
+// Keyed by target name; the views point into ads::kFaultTargets.
+using Accumulators = std::map<std::string_view, Accumulator>;
+
+ImportanceReport build_report(const Accumulators& acc) {
   ImportanceReport report;
   for (const auto& [target, a] : acc) {
     TargetImportance ti;
@@ -50,7 +53,7 @@ ImportanceReport build_report(const std::map<std::string_view, Accumulator>& acc
 }
 
 void accumulate_selection(const std::vector<SelectedFault>& selected,
-                          std::map<std::string_view, Accumulator>& acc) {
+                          Accumulators& acc) {
   for (const auto& sf : selected) {
     Accumulator& a = acc[ads::kFaultTargets[sf.fault.target].name];
     ++a.selected;
@@ -96,7 +99,7 @@ util::Table ImportanceReport::to_table() const {
 
 ImportanceReport rank_targets(const std::vector<SelectedFault>& selected,
                               const CampaignStats& replayed) {
-  std::map<std::string_view, Accumulator> acc;
+  Accumulators acc;
   accumulate_selection(selected, acc);
   // SelectedFaultModel campaigns record outcomes positionally; the
   // description embeds the target name, but the paired fault list is
@@ -111,7 +114,7 @@ ImportanceReport rank_targets(const std::vector<SelectedFault>& selected,
 }
 
 ImportanceReport rank_targets(const std::vector<SelectedFault>& selected) {
-  std::map<std::string_view, Accumulator> acc;
+  Accumulators acc;
   accumulate_selection(selected, acc);
   return build_report(acc);
 }

@@ -173,9 +173,10 @@ TEST(Pipeline, EveryTargetHoldsItsValueFaultAndReleasesIt) {
       pipeline.run_until(kStart + kHold / 2.0);
       EXPECT_EQ(pipeline.target_value(i), value);
 
-      const double hz = producer_of(row.field, config, {}).hz;
+      const double hz = producer_of(row.field, config, pipeline.snapshot()).hz;
       pipeline.run_until(kStart + kHold + 1.0 / hz + 1.0 / config.base_hz);
-      const Producer after = producer_of(row.field, config, pipeline.snapshot());
+      const Producer after =
+          producer_of(row.field, config, pipeline.snapshot());
       if (after.published_at >= 0.0) {
         EXPECT_GT(after.published_at, kStart + kHold);
       } else {
