@@ -6,9 +6,9 @@
 // printed only where text is made (run descriptions, reports, the replay
 // hash of a Bayesian campaign).
 //
-// Row order is part of every campaign record: catalog position i, the
-// random models' target draws and the bit-flip register index all count
-// rows, so a new row goes at the end.
+// The rows' order and count are part of every campaign record: catalog
+// position i, the random models' target draws and the bit-flip register
+// index all count rows.
 #pragma once
 
 #include <array>
